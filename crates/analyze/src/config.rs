@@ -138,7 +138,7 @@ impl Config {
             ("L3", &["crates/bignum/src/**", "crates/crypto/src/**"]),
             // L4 determinism: the simulator and the GCS engine — every
             // path that can influence event or message ordering — plus
-            // the metrics registry and the run-manifest writer, whose
+            // the typed metrics layer and the run-manifest writer, whose
             // rendered bytes must be a pure function of the run
             // (bit-identical across `--jobs`; no wall-clock, no
             // unordered maps, no platform-dependent float formatting).
@@ -158,14 +158,13 @@ impl Config {
             // without failing a test.
             ("L5", &["crates/bignum/src/**", "crates/gcs/src/fec.rs"]),
             // L6 parallel determinism: every `--jobs` execution path —
-            // the sharded scale engine, the worker pool, GCS sharding,
-            // and the bench harness that folds their outputs.
+            // the sharded scale engine, the worker pool, and the bench
+            // harness that folds their outputs.
             (
                 "L6",
                 &[
                     "crates/core/src/scale.rs",
                     "crates/core/src/par.rs",
-                    "crates/gcs/src/shard.rs",
                     "crates/bench/src/**",
                 ],
             ),
@@ -410,7 +409,7 @@ mod tests {
         assert!(cfg.in_scope("L1-PANIC", "crates/bench/src/bin/repro.rs"));
         assert!(cfg.in_scope("L1-PANIC", "crates/bench/src/figures.rs"));
         assert!(!cfg.in_scope("L1-INDEX", "crates/bench/src/figures.rs"));
-        // The metrics registry: panic-free and deterministic, but not
+        // The typed metrics layer: panic-free and deterministic, but not
         // under the indexing rule (its bucket tables are static).
         assert!(cfg.in_scope("L1-PANIC", "crates/telemetry/src/metrics.rs"));
         assert!(!cfg.in_scope("L1-INDEX", "crates/telemetry/src/metrics.rs"));

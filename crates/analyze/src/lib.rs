@@ -44,7 +44,6 @@ pub mod rules;
 pub mod taint;
 
 pub use config::Config;
-pub use rules::FlowMode;
 
 /// One diagnostic.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -103,8 +102,6 @@ pub struct EngineOpts {
     /// Accepted fingerprints: findings in this set are reported under
     /// `Report::baselined` instead of `Report::findings`.
     pub baseline: Option<BTreeSet<String>>,
-    /// Which L2-FLOW engine to run.
-    pub flow: FlowMode,
 }
 
 /// The full result of an analyzer run.
@@ -173,15 +170,6 @@ pub fn analyze_root(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
 /// filesystem layout. Runs the taint-mode flow engine and the full
 /// post-processing (function attribution, fingerprints, allowlist).
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    analyze_sources_mode(sources, cfg, FlowMode::Taint)
-}
-
-/// [`analyze_sources`] with an explicit L2-FLOW engine selection.
-pub fn analyze_sources_mode(
-    sources: &[(String, String)],
-    cfg: &Config,
-    flow: FlowMode,
-) -> Vec<Finding> {
     let files: Vec<(String, parse::ParsedFile)> = sources
         .iter()
         .map(|(rel, text)| (rel.clone(), parse::parse(text)))
@@ -191,7 +179,7 @@ pub fn analyze_sources_mode(
     for (path, pf) in &files {
         rules::check_file_local(path, pf, cfg, &mut raw);
     }
-    rules::check_flow(&files, &graph, cfg, flow, &mut raw);
+    taint::check(&files, &graph, cfg, &mut raw);
     let mut all = dedup_sort(raw);
     rules::fill_funcs(&files, &mut all);
     assign_fingerprints(sources, &mut all);
@@ -271,7 +259,7 @@ pub fn analyze_report(root: &Path, cfg: &Config, opts: &EngineOpts) -> Result<Re
                 .collect();
             let graph = callgraph::CallGraph::build(&files);
             let mut raw = Vec::new();
-            rules::check_flow(&files, &graph, cfg, opts.flow, &mut raw);
+            taint::check(&files, &graph, cfg, &mut raw);
             let mut batch = dedup_sort(raw);
             rules::fill_funcs(&files, &mut batch);
             assign_fingerprints(&sources, &mut batch);

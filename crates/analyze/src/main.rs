@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gkap_analyze::{analyze_report, fingerprint, output, Config, EngineOpts, FlowMode, Report};
+use gkap_analyze::{analyze_report, fingerprint, output, Config, EngineOpts, Report};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -39,13 +39,12 @@ struct Args {
     cache: Option<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
-    legacy_flow: bool,
 }
 
 fn usage() -> &'static str {
     "usage: gkap-analyze (--workspace | --root DIR) [--config FILE] [--allow FILE] \
      [--rule PREFIX] [--format human|json|sarif] [--output FILE] [--cache FILE] \
-     [--baseline FILE] [--write-baseline FILE] [--legacy-flow] [--deny-all] [--quiet]"
+     [--baseline FILE] [--write-baseline FILE] [--deny-all] [--quiet]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -61,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
         cache: None,
         baseline: None,
         write_baseline: None,
-        legacy_flow: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -100,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or("--write-baseline needs a file")?,
                 ))
             }
-            "--legacy-flow" => args.legacy_flow = true,
             // Findings always fail the run; the flag is accepted so CI
             // invocations read explicitly.
             "--deny-all" => {}
@@ -242,11 +239,6 @@ fn run() -> Result<bool, String> {
             None
         } else {
             baseline
-        },
-        flow: if args.legacy_flow {
-            FlowMode::Legacy
-        } else {
-            FlowMode::Taint
         },
     };
 

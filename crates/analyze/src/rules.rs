@@ -19,29 +19,13 @@
 //! deduplicated per `(rule, file, line)` so one offending line yields
 //! one diagnostic.
 //!
-//! L2-FLOW has two engines selected by [`FlowMode`]: the original
-//! name-based signature pass (`Legacy`) and the field-sensitive
-//! interprocedural taint fixpoint (`Taint`, the default — see the
-//! `taint` module). `Legacy` is kept so tests can demonstrate what the
-//! upgrade catches that the old pass missed.
+//! L2-FLOW is the whole-program field-sensitive interprocedural taint
+//! fixpoint in the `taint` module; everything else here is per-file.
 
-use std::collections::BTreeSet;
-
-use crate::callgraph::{CallGraph, SINK_CALLS, SINK_MACROS};
 use crate::config::Config;
 use crate::lexer::{TokKind, Token};
 use crate::parse::ParsedFile;
 use crate::Finding;
-
-/// Which L2-FLOW engine to run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlowMode {
-    /// Name-based parameter/sink signature matching (pre-taint).
-    Legacy,
-    /// Field-sensitive interprocedural taint fixpoint.
-    #[default]
-    Taint,
-}
 
 /// Field / binding names treated as secret material for L2.
 pub const SECRET_NAMES: &[&str] = &[
@@ -73,31 +57,6 @@ const NON_INDEX_PREV: &[&str] = &[
     "struct", "enum", "trait", "mod", "unsafe", "while", "loop", "await", "async", "yield", "box",
 ];
 
-/// Runs every rule family over the parsed files: per-file local
-/// checks, the flow engine, dedup, function attribution and the
-/// allowlist. (The incremental engine in `lib` drives the same pieces
-/// individually so local results can be cached per file.)
-pub fn check_all(files: &[(String, ParsedFile)], cfg: &Config, graph: &CallGraph) -> Vec<Finding> {
-    let mut raw = Vec::new();
-    for (path, pf) in files {
-        check_file_local(path, pf, cfg, &mut raw);
-    }
-    check_flow(files, graph, cfg, FlowMode::Taint, &mut raw);
-
-    // Dedup per (rule, file, line), sort, attribute, drop allowlisted.
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    raw.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    for f in raw {
-        if seen.insert((f.rule.clone(), f.file.clone(), f.line)) {
-            out.push(f);
-        }
-    }
-    fill_funcs(files, &mut out);
-    out.retain(|f| !cfg.allowed_finding(&f.rule, &f.file, &f.func));
-    out
-}
-
 /// Every per-file (cacheable) check: L1–L6 minus the interprocedural
 /// flow pass.
 pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
@@ -107,24 +66,6 @@ pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec
     check_l4(path, pf, cfg, out);
     crate::arith::check_l5(path, pf, cfg, out);
     check_l6(path, pf, cfg, out);
-}
-
-/// The whole-program flow pass (L2-FLOW) under the selected engine.
-pub fn check_flow(
-    files: &[(String, ParsedFile)],
-    graph: &CallGraph,
-    cfg: &Config,
-    mode: FlowMode,
-    out: &mut Vec<Finding>,
-) {
-    match mode {
-        FlowMode::Legacy => {
-            for fi in 0..files.len() {
-                check_l2_flow(fi, files, graph, cfg, out);
-            }
-        }
-        FlowMode::Taint => crate::taint::check(files, graph, cfg, out),
-    }
 }
 
 /// Fills each finding's `func` with the innermost enclosing function,
@@ -300,78 +241,6 @@ fn check_l2_structs(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Fin
                         s.name, fname
                     ),
                 ));
-            }
-        }
-    }
-}
-
-fn check_l2_flow(
-    fi: usize,
-    files: &[(String, ParsedFile)],
-    graph: &CallGraph,
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    let (path, pf) = &files[fi];
-    if !cfg.in_scope("L2-FLOW", path) {
-        return;
-    }
-    let reach = graph.sink_reaching_params(files);
-    for (fj, f) in pf.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        // Secret-typed parameters that reach a sink (directly or via
-        // callees).
-        if let Some(params) = reach.get(&(fi, fj)) {
-            for p in &f.params {
-                if params.contains(&p.name)
-                    && (p.ty.contains("Secret") || SECRET_NAMES.contains(&p.name.as_str()))
-                {
-                    out.push(finding(
-                        "L2-FLOW",
-                        path,
-                        f.line,
-                        format!(
-                            "secret parameter `{}` of `{}` flows into a formatting/serialization sink",
-                            p.name, f.name
-                        ),
-                    ));
-                }
-            }
-        }
-        // Direct: a secret-named identifier (or an `.expose()` call)
-        // inside a sink's argument span.
-        if let Some(sites) = graph.calls.get(&(fi, fj)) {
-            for site in sites {
-                let is_sink = SINK_MACROS.contains(&site.callee.as_str())
-                    || SINK_CALLS.contains(&site.callee.as_str());
-                if !is_sink {
-                    continue;
-                }
-                let span = site.args.clone();
-                let toks =
-                    &pf.tokens[span.start.min(pf.tokens.len())..span.end.min(pf.tokens.len())];
-                let mention = SECRET_NAMES
-                    .iter()
-                    .find(|name| {
-                        toks.iter()
-                            .any(|t| crate::callgraph::token_mentions(t, name))
-                    })
-                    .copied()
-                    .or_else(|| {
-                        toks.iter()
-                            .any(|t| t.is_ident("expose"))
-                            .then_some("expose")
-                    });
-                if let Some(m) = mention {
-                    out.push(finding(
-                        "L2-FLOW",
-                        path,
-                        site.line,
-                        format!("secret value `{m}` passed to sink `{}`", site.callee),
-                    ));
-                }
             }
         }
     }
@@ -660,14 +529,15 @@ fn check_l6(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::parse::parse;
+    use crate::analyze_sources;
+
+    fn source(src: &str) -> [(String, String); 1] {
+        [("src/x.rs".to_string(), src.to_string())]
+    }
 
     fn run(src: &str, scope: &str) -> Vec<Finding> {
         let cfg = Config::parse_conf(scope).unwrap();
-        let files = vec![("src/x.rs".to_string(), parse(src))];
-        let graph = CallGraph::build(&files);
-        check_all(&files, &cfg, &graph)
+        analyze_sources(&source(src), &cfg)
     }
 
     #[test]
@@ -808,11 +678,7 @@ mod tests {
         let mut cfg = Config::parse_conf("scope L1 src/**").unwrap();
         cfg.parse_allowlist("L1-PANIC src/x.rs # audited\n")
             .unwrap();
-        let files = vec![(
-            "src/x.rs".to_string(),
-            parse("fn f(v: Option<u8>) { v.unwrap(); }"),
-        )];
-        let graph = CallGraph::build(&files);
-        assert!(check_all(&files, &cfg, &graph).is_empty());
+        let src = source("fn f(v: Option<u8>) { v.unwrap(); }");
+        assert!(analyze_sources(&src, &cfg).is_empty());
     }
 }

@@ -85,7 +85,7 @@ impl Default for CliOptions {
 ///
 /// Returns a human-readable message for malformed flags — notably
 /// `--jobs 0`, which is rejected rather than silently treated as
-/// serial (`--jobs 1` is the explicit serial spelling).
+/// serial (`--jobs 1` is the explicit serial spelling), and `--reps 0`.
 pub fn parse(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut positional: Vec<&str> = Vec::new();
@@ -99,9 +99,15 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             "--reps" => {
                 i += 1;
                 let v = args.get(i).ok_or("--reps requires a value")?;
-                opts.reps = v
+                let reps: u32 = v
                     .parse()
                     .map_err(|_| format!("invalid --reps value: {v}"))?;
+                // Zero repetitions would write all-zero figure rows over
+                // the committed CSVs.
+                if reps == 0 {
+                    return Err("--reps must be at least 1".into());
+                }
+                opts.reps = reps;
             }
             "--jobs" | "-j" => {
                 i += 1;
@@ -246,6 +252,8 @@ mod tests {
         assert!(parse(&args(&["--jobs", "many"])).is_err());
         assert!(parse(&args(&["--reps", "-1"])).is_err());
         assert!(parse(&args(&["--frobnicate"])).is_err());
+        let err = parse(&args(&["fig14", "--reps", "0", "--jobs", "1"])).unwrap_err();
+        assert!(err.contains("--reps must be at least 1"), "{err}");
     }
 
     #[test]

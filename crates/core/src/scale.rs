@@ -10,8 +10,8 @@
 //! finest-grained decomposition the interaction graph allows: every
 //! group is simulated as a pure function of `(group, seed, config)`
 //! on its own token ring, and [`run_sharded`] partitions groups
-//! across shards (round-robin, [`gkap_gcs::ShardMap`] discipline) and
-//! shards across worker threads. Because no simulated event ever
+//! across shards (round-robin: group `g` runs on shard `g % shards`)
+//! and shards across worker threads. Because no simulated event ever
 //! crosses a group boundary, `--shards` and `--jobs` are pure
 //! execution knobs: the canonical group-ascending fold in
 //! [`assemble`] makes every observable quantity — counts, latency

@@ -7,7 +7,8 @@
 use std::rc::Rc;
 
 use gkap_gcs::{ClientId, SimWorld};
-use gkap_sim::stats::{Histogram, Summary};
+use gkap_sim::stats::Summary;
+use gkap_telemetry::metrics::LogHistogram;
 
 use crate::experiment::ExperimentConfig;
 use crate::member::SecureMember;
@@ -98,7 +99,7 @@ pub struct ScenarioReport {
     pub summary: Summary,
     /// Latency distribution over all event times (log buckets from
     /// 0.1 ms, ×1.5 per bucket).
-    pub histogram: Histogram,
+    pub histogram: LogHistogram,
     /// Whether every event completed with all members agreeing.
     pub ok: bool,
 }
@@ -134,7 +135,7 @@ pub fn run_scenario(cfg: &ExperimentConfig, scenario: &Scenario) -> ScenarioRepo
     let mut next_fresh = scenario.initial;
     let mut events = Vec::with_capacity(scenario.steps.len());
     let mut summary = Summary::new();
-    let mut histogram = Histogram::new(0.1, 1.5, 48);
+    let mut histogram = LogHistogram::new(0.1, 1.5, 48);
     let mut ok = true;
 
     for &step in &scenario.steps {

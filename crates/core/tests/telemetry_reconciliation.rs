@@ -14,6 +14,7 @@ use gkap_core::experiment::{
 use gkap_core::protocols::ProtocolKind;
 use gkap_core::suite::CryptoSuite;
 use gkap_core::testkit::Loopback;
+use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, CryptoOpKind, Event, EventKind, SendClass, Telemetry};
 
 /// Tallies a run's crypto and send events into an [`OpCounts`],
@@ -123,15 +124,17 @@ fn tracing_does_not_perturb_results() {
 }
 
 fn counters_as_opcounts(t: &Telemetry) -> OpCounts {
+    let crypto = |name| t.counter(Key::new(Layer::Crypto, name));
+    let protocol = |name| t.counter(Key::new(Layer::Protocol, name));
     OpCounts {
-        exp: t.counter("crypto/exp"),
-        small_exp: t.counter("crypto/small_exp"),
-        inverse: t.counter("crypto/inverse"),
-        sign: t.counter("crypto/sign"),
-        verify: t.counter("crypto/verify"),
-        symmetric: t.counter("crypto/symmetric"),
-        multicast: t.counter("send/multicast"),
-        unicast: t.counter("send/unicast"),
+        exp: crypto("exp"),
+        small_exp: crypto("small_exp"),
+        inverse: crypto("inverse"),
+        sign: crypto("sign"),
+        verify: crypto("verify"),
+        symmetric: crypto("symmetric"),
+        multicast: protocol("multicast"),
+        unicast: protocol("unicast"),
     }
 }
 

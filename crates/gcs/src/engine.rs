@@ -100,58 +100,6 @@ impl WorldStats {
     }
 }
 
-/// One observability record (enabled via [`SimWorld::enable_trace`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A daemon sequenced an Agreed message.
-    Sequenced {
-        /// Global sequence number.
-        seq: u64,
-        /// Sending client.
-        sender: ClientId,
-        /// Instant of sequencing.
-        at: SimTime,
-    },
-    /// A message was handed to a client.
-    Delivered {
-        /// Receiving client.
-        client: ClientId,
-        /// Sending client.
-        sender: ClientId,
-        /// Service class.
-        service: Service,
-        /// Instant of delivery.
-        at: SimTime,
-    },
-    /// A daemon installed a view.
-    ViewInstalled {
-        /// Installing daemon.
-        daemon: DaemonId,
-        /// The view id.
-        view_id: ViewId,
-        /// Instant of installation.
-        at: SimTime,
-    },
-    /// A lost message copy was re-sent to a daemon that missed it.
-    Retransmit {
-        /// The daemon receiving the retransmission.
-        daemon: DaemonId,
-        /// Sequence number recovered.
-        seq: u64,
-        /// Instant the retransmission was issued.
-        at: SimTime,
-    },
-    /// A daemon reconstructed a missing message from FEC parity.
-    FecRepaired {
-        /// The repairing daemon.
-        daemon: DaemonId,
-        /// Sequence number reconstructed.
-        seq: u64,
-        /// Instant of the reconstruction.
-        at: SimTime,
-    },
-}
-
 /// A sequenced Agreed message in flight between daemons.
 #[derive(Debug)]
 struct WireMsg {
@@ -490,15 +438,6 @@ impl SimWorld {
         }
     }
 
-    /// Turns on event tracing (an enabled [`Telemetry`] sink); records
-    /// are retrievable via [`SimWorld::trace`] or, in full structured
-    /// form, via [`SimWorld::telemetry`].
-    pub fn enable_trace(&mut self) {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::enabled();
-        }
-    }
-
     /// Attaches an externally-owned telemetry sink (shared with other
     /// layers, e.g. the protocol drivers) so all events land in one
     /// stream.
@@ -506,61 +445,10 @@ impl SimWorld {
         self.telemetry = telemetry;
     }
 
-    /// The telemetry sink (disabled unless [`SimWorld::enable_trace`]
-    /// or [`SimWorld::set_telemetry`] was called).
+    /// The telemetry sink (disabled unless [`SimWorld::set_telemetry`]
+    /// attached an enabled one).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The recorded GCS-level trace, reconstructed from the telemetry
-    /// stream (empty when tracing is disabled). Protocol- and
-    /// crypto-level events are available via [`SimWorld::telemetry`].
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        self.telemetry
-            .events()
-            .into_iter()
-            .filter_map(|ev| match ev.kind {
-                EventKind::Sequenced { seq, sender } => Some(TraceEvent::Sequenced {
-                    seq,
-                    sender,
-                    at: ev.at,
-                }),
-                EventKind::Delivered { sender, service } => Some(TraceEvent::Delivered {
-                    client: match ev.actor {
-                        Actor::Client(c) => c,
-                        _ => return None,
-                    },
-                    sender,
-                    service: Service::from_str_label(service)?,
-                    at: ev.at,
-                }),
-                EventKind::ViewInstalled { view_id } => Some(TraceEvent::ViewInstalled {
-                    daemon: match ev.actor {
-                        Actor::Daemon(d) => d,
-                        _ => return None,
-                    },
-                    view_id,
-                    at: ev.at,
-                }),
-                EventKind::Retransmit { seq } => Some(TraceEvent::Retransmit {
-                    daemon: match ev.actor {
-                        Actor::Daemon(d) => d,
-                        _ => return None,
-                    },
-                    seq,
-                    at: ev.at,
-                }),
-                EventKind::FecRepair { seq } => Some(TraceEvent::FecRepaired {
-                    daemon: match ev.actor {
-                        Actor::Daemon(d) => d,
-                        _ => return None,
-                    },
-                    seq,
-                    at: ev.at,
-                }),
-                _ => None,
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------

@@ -76,17 +76,15 @@ mod fault;
 pub mod fec;
 pub mod loss;
 mod message;
-mod shard;
 pub mod testbed;
 mod topology;
 
 pub use client::{Client, ClientCtx};
 pub use config::{GcsConfig, WireGranularity};
-pub use engine::{SimWorld, TraceEvent, WorldStats};
+pub use engine::{SimWorld, WorldStats};
 pub use fault::{Fault, FaultPlan, PlannedFault};
 pub use loss::GilbertElliott;
 pub use message::{Delivery, Dest, Service, View, ViewId};
-pub use shard::{ShardMap, ShardedWorld};
 pub use topology::{MachineCfg, SiteCfg, Topology};
 
 /// Client (group member process) identifier: index into the world's

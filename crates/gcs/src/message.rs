@@ -29,16 +29,6 @@ impl Service {
             Service::Causal => "causal",
         }
     }
-
-    /// Inverse of [`Service::as_str`].
-    pub fn from_str_label(s: &str) -> Option<Service> {
-        match s {
-            "agreed" => Some(Service::Agreed),
-            "fifo" => Some(Service::Fifo),
-            "causal" => Some(Service::Causal),
-            _ => None,
-        }
-    }
 }
 
 /// Message destination.

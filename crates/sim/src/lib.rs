@@ -13,9 +13,6 @@
 //!   group members share one machine; CPU contention is what makes the
 //!   BD protocol's cost "roughly double as the group size grows in
 //!   increments of 13" (§6.1.3). This model reproduces that effect.
-//! * [`VtFrontier`] — the conservative merge (max) of per-shard
-//!   virtual clocks when a run is partitioned over independent
-//!   shards.
 //! * [`stats`] — summary statistics and series containers for the
 //!   experiment harness.
 //!
@@ -43,6 +40,6 @@ mod time;
 
 pub use cpu::{CpuRun, CpuScheduler};
 pub use queue::EventQueue;
-pub use time::{Duration, SimTime, VtFrontier};
+pub use time::{Duration, SimTime};
 
 pub use gkap_bignum::{RandomSource, SplitMix64};

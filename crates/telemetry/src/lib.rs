@@ -17,8 +17,8 @@
 //!   take closures), no allocation happens, and virtual time is
 //!   untouched.
 //! * When enabled, the handle shares a [`Recorder`] holding the event
-//!   log and a [`MetricsRegistry`] (named counters + log-linear
-//!   histograms, reusing [`gkap_sim::stats::Histogram`]).
+//!   log and a typed [`metrics::MetricsHub`] (counters, gauges and
+//!   log-linear histograms keyed by [`metrics::Key`]).
 //! * [`jsonl`] renders the captured stream as one JSON object per line
 //!   — the schema is documented on [`jsonl::event_to_json`].
 //!
@@ -46,10 +46,8 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use gkap_sim::stats::Histogram;
 use gkap_sim::{Duration, SimTime};
 
 pub mod jsonl;
@@ -258,134 +256,57 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Named counters plus log-linear latency histograms.
-///
-/// Counter keys are slash-separated paths (`"crypto/exp"`,
-/// `"gcs/token_rotation"`). Histograms record milliseconds of virtual
-/// time in log-linear buckets ([`gkap_sim::stats::Histogram`]).
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `by` to the named counter (creating it at zero).
-    pub fn inc(&mut self, name: &str, by: u64) {
-        match self.counters.get_mut(name) {
-            Some(c) => *c += by,
-            None => {
-                self.counters.insert(name.to_string(), by);
-            }
-        }
-    }
-
-    /// Current value of a counter (zero if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records `ms` into the named histogram, creating it with a
-    /// 10 µs base and 1.6× growth (64 buckets reach past 10⁹ ms) on
-    /// first use.
-    pub fn observe_ms(&mut self, name: &str, ms: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(0.01, 1.6, 64))
-            .record(ms);
-    }
-
-    /// The named histogram, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates counters in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
 /// Owner of the captured event log and metrics. Usually accessed
 /// through a [`Telemetry`] handle.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     events: Vec<Event>,
-    metrics: MetricsRegistry,
     hub: MetricsHub,
 }
 
 impl Recorder {
-    /// Appends an event and bumps the per-kind counters that every
-    /// event maintains automatically — both the legacy string-keyed
-    /// [`MetricsRegistry`] (JSONL dumps) and the typed
+    /// Appends an event and bumps the per-kind counters and
+    /// histograms that every event maintains automatically in the
     /// [`metrics::MetricsHub`] (run manifests, `bench-diff`).
     pub fn push(&mut self, ev: Event) {
         match &ev.kind {
             EventKind::CryptoOp { op, .. } => {
-                self.metrics.inc(&format!("crypto/{}", op.as_str()), 1);
-                self.metrics.observe_ms(
-                    &format!("crypto_ms/{}", op.as_str()),
-                    ev.dur.as_millis_f64(),
-                );
                 let key = Key::new(Layer::Crypto, op.as_str());
                 self.hub.inc(key, 1);
                 self.hub.observe(key, ev.dur.as_millis_f64());
             }
             EventKind::MessageSend { class } => {
-                self.metrics.inc(&format!("send/{}", class.as_str()), 1);
                 self.hub.inc(Key::new(Layer::Protocol, class.as_str()), 1);
             }
             EventKind::ProtocolRound { protocol, .. } => {
-                self.metrics.inc(&format!("rounds/{protocol}"), 1);
                 self.hub
                     .inc(Key::new(Layer::Protocol, "rounds").protocol(protocol), 1);
             }
             EventKind::TokenRotation { .. } => {
-                self.metrics.inc("gcs/token_rotation", 1);
                 self.hub.inc(Key::new(Layer::Gcs, "token_rotation"), 1);
             }
             EventKind::Retransmit { .. } => {
-                self.metrics.inc("gcs/retransmit", 1);
                 self.hub.inc(Key::new(Layer::Gcs, "retransmit"), 1);
             }
             EventKind::FecRepair { .. } => {
-                self.metrics.inc("gcs/fec_repair", 1);
                 self.hub.inc(Key::new(Layer::Gcs, "fec_repair"), 1);
             }
             EventKind::Sequenced { .. } => {
-                self.metrics.inc("gcs/sequenced", 1);
                 self.hub.inc(Key::new(Layer::Gcs, "sequenced"), 1);
             }
             EventKind::Delivered { .. } => {
-                self.metrics.inc("gcs/delivered", 1);
                 self.hub.inc(Key::new(Layer::Gcs, "delivered"), 1);
             }
             EventKind::ViewInstalled { .. } => {
-                self.metrics.inc("gcs/view_installed", 1);
                 self.hub.inc(Key::new(Layer::Gcs, "view_installed"), 1);
             }
             EventKind::HandlerSpan { wait } => {
-                self.metrics
-                    .observe_ms("cpu/busy_ms", ev.dur.as_millis_f64());
-                self.metrics.observe_ms("cpu/wait_ms", wait.as_millis_f64());
                 self.hub
                     .observe(Key::new(Layer::Sim, "busy_ms"), ev.dur.as_millis_f64());
                 self.hub
                     .observe(Key::new(Layer::Sim, "wait_ms"), wait.as_millis_f64());
             }
             EventKind::MembershipEvent { action, .. } => {
-                self.metrics.inc("membership/events", 1);
                 let key = Key::new(Layer::Harness, action);
                 self.hub.inc(key, 1);
                 if ev.dur > Duration::ZERO {
@@ -393,7 +314,6 @@ impl Recorder {
                 }
             }
             EventKind::Fault { action, .. } => {
-                self.metrics.inc(&format!("fault/{action}"), 1);
                 self.hub.inc(Key::new(Layer::Gcs, action), 1);
             }
         }
@@ -404,17 +324,6 @@ impl Recorder {
     /// in `at` because the simulation processes events in time order).
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Mutable access to the metrics registry (for harness-level
-    /// counters that have no event representation).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
     }
 
     /// The typed metrics hub.
@@ -496,11 +405,6 @@ impl Telemetry {
         self.with(|r| r.events().to_vec()).unwrap_or_default()
     }
 
-    /// Current value of a counter (zero when disabled or absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.with(|r| r.metrics().counter(name)).unwrap_or(0)
-    }
-
     /// Adds `by` to a typed counter. [`Key`] construction is
     /// allocation-free, so callers build keys unconditionally; a
     /// disabled handle pays one branch.
@@ -530,7 +434,7 @@ impl Telemetry {
     }
 
     /// Current value of a typed counter (zero when disabled or absent).
-    pub fn metric(&self, key: Key) -> u64 {
+    pub fn counter(&self, key: Key) -> u64 {
         self.with(|r| r.hub.counter(key)).unwrap_or(0)
     }
 
@@ -559,7 +463,7 @@ mod tests {
         t.record(|| panic!("must not run"));
         assert!(!t.is_enabled());
         assert!(t.events().is_empty());
-        assert_eq!(t.counter("crypto/exp"), 0);
+        assert_eq!(t.counter(Key::new(Layer::Crypto, "exp")), 0);
     }
 
     #[test]
@@ -584,11 +488,12 @@ mod tests {
                 },
             )
         });
+        let exp = Key::new(Layer::Crypto, "exp");
         assert_eq!(t.events().len(), 2);
-        assert_eq!(t.counter("crypto/exp"), 2);
+        assert_eq!(t.counter(exp), 2);
         // The auto-histogram observed both durations.
         t.with(|r| {
-            let h = r.metrics().histogram("crypto_ms/exp").expect("histogram");
+            let h = r.hub().histogram(exp).expect("histogram");
             assert_eq!(h.count(), 2);
         })
         .unwrap();
@@ -609,27 +514,11 @@ mod tests {
                 },
             )
         });
-        assert_eq!(t.counter("gcs/token_rotation"), 1);
-        assert_eq!(t.counter("gcs/retransmit"), 1);
-        assert_eq!(t.counter("gcs/fec_repair"), 1);
-        assert_eq!(t.counter("gcs/sequenced"), 1);
-        assert_eq!(t.counter("send/unicast"), 1);
-        assert_eq!(t.counter("send/multicast"), 0);
-    }
-
-    #[test]
-    fn registry_counts_and_observes() {
-        let mut m = MetricsRegistry::new();
-        m.inc("a/b", 2);
-        m.inc("a/b", 3);
-        assert_eq!(m.counter("a/b"), 5);
-        assert_eq!(m.counter("missing"), 0);
-        m.observe_ms("lat", 1.0);
-        m.observe_ms("lat", 100.0);
-        let h = m.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile(1.0) >= 100.0);
-        assert_eq!(m.counters().count(), 1);
-        assert_eq!(m.histograms().count(), 1);
+        assert_eq!(t.counter(Key::new(Layer::Gcs, "token_rotation")), 1);
+        assert_eq!(t.counter(Key::new(Layer::Gcs, "retransmit")), 1);
+        assert_eq!(t.counter(Key::new(Layer::Gcs, "fec_repair")), 1);
+        assert_eq!(t.counter(Key::new(Layer::Gcs, "sequenced")), 1);
+        assert_eq!(t.counter(Key::new(Layer::Protocol, "unicast")), 1);
+        assert_eq!(t.counter(Key::new(Layer::Protocol, "multicast")), 0);
     }
 }

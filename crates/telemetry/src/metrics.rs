@@ -1,9 +1,8 @@
 //! Typed, mergeable metrics keyed by `(layer, name, protocol, group)`.
 //!
-//! The PR 1 [`crate::MetricsRegistry`] keeps flat string-keyed
-//! counters for the JSONL trace dump; this module is the structured
-//! layer the run manifests and the `bench-diff` regression gate are
-//! built on:
+//! This module is the one metrics store: every telemetry event feeds
+//! it through [`crate::Recorder::push`], and the run manifests and the
+//! `bench-diff` regression gate are built on it:
 //!
 //! * [`Key`] is a `Copy` composite of a [`Layer`], a static metric
 //!   name and optional protocol/group labels — constructing one
@@ -113,7 +112,7 @@ impl Key {
 }
 
 /// Default histogram shape: 10 µs base, 1.6× growth, 64 buckets
-/// (reaches past 10⁹ ms) — the same shape the PR 1 registry uses.
+/// (reaches past 10⁹ ms).
 pub const DEFAULT_BASE: f64 = 0.01;
 /// Default growth factor.
 pub const DEFAULT_GROWTH: f64 = 1.6;
