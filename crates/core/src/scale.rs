@@ -316,24 +316,31 @@ pub fn run_shard(
 ) -> Vec<GroupOutcome> {
     assert!(shards > 0, "at least one shard required");
     assert!(shard < shards, "shard {shard} out of range ({shards})");
-    // Group → its clients (ascending: index order of `client_group`)
-    // and group → its batches (ascending flush order: `batches` is
-    // sorted by `(flush_at, group)` and filtering preserves it).
-    let mut group_clients: Vec<Vec<ClientId>> = vec![Vec::new(); cfg.groups];
+    // Index only this shard's groups (`shard + i * shards` in slot
+    // `i`): callers that run one group per shard would otherwise pay
+    // for an all-group index on every call. Per slot: its clients
+    // (ascending: index order of `client_group`) and its batches
+    // (ascending flush order: `batches` is sorted by `(flush_at,
+    // group)` and filtering preserves it).
+    let slots = cfg.groups.saturating_sub(shard).div_ceil(shards);
+    let slot = |g: GroupId| (g < cfg.groups && g % shards == shard).then_some(g / shards);
+    let mut group_clients: Vec<Vec<ClientId>> = vec![Vec::new(); slots];
     for (c, &g) in schedule.client_group.iter().enumerate() {
-        if g < cfg.groups {
-            group_clients[g].push(c);
+        if let Some(i) = slot(g) {
+            group_clients[i].push(c);
         }
     }
-    let mut group_batches: Vec<Vec<&MembershipBatch>> = vec![Vec::new(); cfg.groups];
+    let mut group_batches: Vec<Vec<&MembershipBatch>> = vec![Vec::new(); slots];
     for b in batches {
-        if b.group < cfg.groups {
-            group_batches[b.group].push(b);
+        if let Some(i) = slot(b.group) {
+            group_batches[i].push(b);
         }
     }
-    (0..cfg.groups)
-        .filter(|g| g % shards == shard)
-        .map(|g| run_group(cfg, g, &group_clients[g], &group_batches[g]))
+    (0..slots)
+        .map(|i| {
+            let g = shard + i * shards;
+            run_group(cfg, g, &group_clients[i], &group_batches[i])
+        })
         .collect()
 }
 

@@ -875,9 +875,20 @@ impl SimWorld {
     /// [`SimWorld::step`] skips once the world is quiescent. Used by
     /// workload drivers to reach a scheduled injection instant. A `t`
     /// in the past is a no-op.
+    ///
+    /// Every quiescent stretch the call crosses is fast-forwarded (see
+    /// [`SimWorld::set_idle_fast_forward`]), not just one the call
+    /// starts in: a driver that injects a change and then runs to a
+    /// far target steps the change's drain and skips the idle tail.
     pub fn run_until(&mut self, t: SimTime) {
-        self.try_fast_forward_idle(t);
-        while self.queue.peek_time().is_some_and(|pt| pt <= t) {
+        loop {
+            // `outstanding == 0` is the O(1) half of `quiescent()`.
+            if self.outstanding == 0 {
+                self.try_fast_forward_idle(t);
+            }
+            if self.queue.peek_time().is_none_or(|pt| pt > t) {
+                break;
+            }
             let Some((_, ev)) = self.queue.pop() else {
                 break;
             };
@@ -891,11 +902,15 @@ impl SimWorld {
     /// Enables or disables the idle-token fast-forward (on by
     /// default). When the world is quiescent, an idle token visit only
     /// performs ring-head bookkeeping and forwards itself, so
-    /// [`SimWorld::run_until`] can skip whole rotations analytically —
-    /// the final partial rotation is always stepped, which makes the
+    /// [`SimWorld::run_until`] can skip whole rotations analytically
+    /// across every quiescent stretch it crosses — the final partial
+    /// rotation of each stretch is always stepped, which makes the
     /// clock, stats, and every future event instant identical to the
-    /// fully stepped execution. Disable to force stepping (e.g. when
-    /// comparing the two paths).
+    /// fully stepped execution. Stretches stay stepped while
+    /// telemetry is enabled, and under [`GcsConfig::fec_adaptive`]
+    /// while any loss estimate is non-zero (each idle visit decays
+    /// it). Disable to force stepping (e.g. when comparing the two
+    /// paths).
     pub fn set_idle_fast_forward(&mut self, on: bool) {
         self.idle_fast_forward = on;
     }
@@ -905,14 +920,25 @@ impl SimWorld {
     /// Applies only in the strictly idle regime: the world is
     /// quiescent, telemetry is off (an enabled sink counts per-event
     /// dispatches, which skipping would under-report), and the queue
-    /// holds exactly the one live token. A full rotation then costs
-    /// `sum(hop + token_processing)` around the ring and its only
-    /// effects are `token_rotations` and `last_rotation_at`, which are
-    /// replayed analytically; the token event is moved forward by a
-    /// whole number of periods so the stepped tail reproduces the
-    /// exact event instants of a fully stepped run.
+    /// holds exactly the one live token. [`SimWorld::run_until`] tries
+    /// it whenever nothing but the token is outstanding, so it skips
+    /// every quiescent stretch inside the call. A full rotation then
+    /// costs `sum(hop + token_processing)` around the ring and its
+    /// only effects are `token_rotations` and `last_rotation_at`,
+    /// which are replayed analytically; the token event is moved
+    /// forward by a whole number of periods so the stepped tail
+    /// reproduces the exact event instants of a fully stepped run.
+    ///
+    /// One more effect exists under [`GcsConfig::fec_adaptive`]: each
+    /// idle visit decays the visiting daemon's loss estimate, which
+    /// sets the next generation's parity budget. An all-zero estimate
+    /// map decays to itself, so only then is the skip exact; any
+    /// non-zero estimate keeps the stretch stepped.
     fn try_fast_forward_idle(&mut self, t: SimTime) {
         if !self.idle_fast_forward || self.telemetry.is_enabled() {
+            return;
+        }
+        if self.cfg.fec_adaptive && self.loss_ewma.values().any(|&e| e != 0.0) {
             return;
         }
         if self.queue.len() != 1 || !self.quiescent() {
@@ -2449,6 +2475,58 @@ mod tests {
             assert_eq!(back.origin, msg.origin);
         }
         assert!(decode_record(&[1, 2, 3]).is_none(), "truncated record");
+    }
+
+    /// Multicasts one Agreed message per view install.
+    struct Chatty;
+
+    impl Client for Chatty {
+        fn on_view(&mut self, ctx: &mut ClientCtx<'_>, _view: &View) {
+            ctx.multicast_agreed(vec![1u8, 2, 3]);
+        }
+
+        fn on_message(&mut self, _ctx: &mut ClientCtx<'_>, _msg: &Delivery) {}
+    }
+
+    #[test]
+    fn run_until_skips_the_idle_stretch_after_a_change_drains() {
+        // The workload-driver pattern: inject a change, then run far
+        // past its drain. Stepped, the 10 s stretch is ~15k lan
+        // rotations of 13 token hops each; fast-forwarded, only the
+        // drain and one partial rotation are dispatched.
+        let run = |fast_forward: bool| {
+            let mut w = SimWorld::new(testbed::lan());
+            w.set_idle_fast_forward(fast_forward);
+            for _ in 0..6 {
+                w.add_client(Box::new(Chatty));
+            }
+            w.install_initial_view_of((0..5).collect());
+            w.run_until_quiescent();
+            let t0 = w.now();
+            w.inject_change(vec![5], vec![]);
+            let before = w.queue.delivered();
+            w.run_until(t0 + Duration::from_millis(10_000));
+            assert!(w.quiescent());
+            (
+                w.queue.delivered() - before,
+                w.stats.token_rotations,
+                w.last_rotation_at,
+                w.now(),
+            )
+        };
+        let (fast_events, fast_rotations, fast_last, fast_now) = run(true);
+        let (slow_events, slow_rotations, slow_last, slow_now) = run(false);
+        assert_eq!(fast_rotations, slow_rotations, "rotation count is exact");
+        assert_eq!(fast_last, slow_last, "last rotation instant is exact");
+        assert_eq!(fast_now, slow_now, "clock is exact");
+        assert!(
+            slow_events > 150_000,
+            "stepping dispatches every hop: {slow_events}"
+        );
+        assert!(
+            fast_events < 500,
+            "the idle stretch must be skipped: {fast_events} events"
+        );
     }
 
     #[test]
