@@ -54,8 +54,8 @@ impl SuiteKind {
 
     /// A shared, per-thread instance of this suite. Building a suite
     /// precomputes fixed-base exponentiation tables and Montgomery
-    /// contexts; a multi-group world would otherwise rebuild them per
-    /// group. A [`CryptoSuite`] is immutable and holds no RNG state
+    /// contexts; the scale workload, which builds one world per group,
+    /// would otherwise rebuild them per group. A [`CryptoSuite`] is immutable and holds no RNG state
     /// (modeled signatures derive nonces from the data), so sharing
     /// one instance across groups — and across runs on the same
     /// worker thread — cannot change any result.

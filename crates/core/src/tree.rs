@@ -517,11 +517,6 @@ impl KeyTree {
         adopted
     }
 
-    /// Number of live nodes.
-    pub fn live_count(&self) -> usize {
-        self.iter_live().count()
-    }
-
     /// Drops every secret key (used before a tree goes on the wire —
     /// "the keys are never broadcasted", §4.3).
     pub fn clear_keys(&mut self) {

@@ -65,12 +65,6 @@ pub struct GcsConfig {
     /// Whether wire time rounds payloads to whole kilobytes
     /// (the historical default) or charges exact bytes.
     pub wire_granularity: WireGranularity,
-    /// Maximum missing sequence numbers a daemon may request per token
-    /// visit during gap recovery (Spread caps the per-visit
-    /// retransmission batch so one lossy link cannot monopolise the
-    /// token). Larger gaps recover over multiple token rotations;
-    /// `WorldStats::retransmission_rounds` counts them.
-    pub recovery_batch: usize,
     /// How long the surviving daemons take to detect a crashed daemon
     /// and reform the ring (Totem's token-loss timeout). Until
     /// detection the token may be lost at the dead daemon; at
@@ -95,9 +89,6 @@ pub struct GcsConfig {
     /// between [`GcsConfig::fec_parity`] (floor) and
     /// [`GcsConfig::fec_parity_max`] (ceiling).
     pub fec_adaptive: bool,
-    /// EWMA smoothing factor for the adaptive loss estimator, in
-    /// `(0, 1]` (larger = more reactive).
-    pub loss_ewma_alpha: f64,
     /// Fast-attack mode for the adaptive loss estimator: when a fresh
     /// loss sample *exceeds* a daemon's current estimate, jump the
     /// estimate straight to the sample instead of blending it in, so
@@ -116,12 +107,6 @@ pub struct GcsConfig {
     pub retrans_backoff: Duration,
     /// Cap on the exponentially growing backoff delay.
     pub retrans_backoff_max: Duration,
-    /// Consecutive no-progress retransmission rounds after which the
-    /// requesting daemon gives up on the unreachable origin and
-    /// escalates to a ring reformation (the crash-detection machinery
-    /// excludes the origin and recovers its messages from the
-    /// surviving buffers). `0` (the default) never escalates.
-    pub retrans_give_up: u32,
 }
 
 impl GcsConfig {
@@ -142,10 +127,6 @@ impl GcsConfig {
         assert!(
             (0.0..1.0).contains(&self.loss_rate),
             "loss rate must be in [0, 1)"
-        );
-        assert!(
-            self.recovery_batch > 0,
-            "recovery batch must allow at least one retransmission per visit"
         );
         let parity_ceiling = self.fec_parity.max(if self.fec_adaptive {
             self.fec_parity_max
@@ -176,12 +157,6 @@ impl GcsConfig {
             assert!(
                 ge.good_dwell > Duration::ZERO && ge.bad_dwell > Duration::ZERO,
                 "Gilbert-Elliott dwell means must be positive"
-            );
-        }
-        if self.fec_adaptive {
-            assert!(
-                (0.0..=1.0).contains(&self.loss_ewma_alpha) && self.loss_ewma_alpha > 0.0,
-                "EWMA smoothing factor must be in (0, 1]"
             );
         }
         if self.retrans_backoff > gkap_sim::Duration::ZERO {

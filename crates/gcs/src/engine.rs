@@ -27,6 +27,9 @@
 //! during the following rotation each daemon installs the new view as
 //! the token passes it and notifies its local clients. Changes queue
 //! FIFO if injected while another is in progress.
+//!
+//! A world carries exactly one group: every workload builds one world
+//! per group, so no group's results depend on another group's traffic.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -41,6 +44,17 @@ use crate::client::{Client, ClientCtx, Outgoing};
 use crate::config::{GcsConfig, WireGranularity};
 use crate::message::{Delivery, Dest, Service, View, ViewId};
 use crate::{ClientId, DaemonId, GroupId, MachineId};
+
+/// Maximum missing sequence numbers a daemon requests per token visit
+/// during gap recovery (Spread caps the per-visit retransmission batch
+/// so one lossy link cannot monopolise the token). Larger gaps recover
+/// over several token rotations; `WorldStats::retransmission_rounds`
+/// counts them.
+const RECOVERY_BATCH: usize = 32;
+
+/// Smoothing factor of the adaptive per-origin loss estimator (larger
+/// = more reactive); only consulted under [`GcsConfig::fec_adaptive`].
+const LOSS_EWMA_ALPHA: f64 = 0.2;
 
 /// Counters the engine accumulates across a run.
 #[derive(Clone, Debug, Default)]
@@ -60,8 +74,8 @@ pub struct WorldStats {
     /// Retransmissions performed to recover losses.
     pub retransmissions: u64,
     /// Token visits on which a daemon issued at least one
-    /// retransmission request (a gap wider than
-    /// [`GcsConfig::recovery_batch`] needs several rounds).
+    /// retransmission request (a gap wider than the 32-message
+    /// per-visit recovery batch needs several rounds).
     pub retransmission_rounds: u64,
     /// Daemons crashed via fault injection.
     pub daemon_crashes: u64,
@@ -158,27 +172,15 @@ struct FecGenBuf {
 /// Per-daemon adaptive retransmission state (exponential backoff with
 /// jitter; only consulted when [`GcsConfig::retrans_backoff`] is
 /// nonzero).
+#[derive(Default)]
 struct RetransState {
     /// Earliest instant the next request round may fire.
     next_at: SimTime,
     /// Backoff exponent: consecutive request rounds without progress.
     level: u32,
-    /// Consecutive no-progress rounds towards the give-up escalation.
-    strikes: u32,
     /// `contiguous` as of the last request round (`None` when no round
     /// is outstanding); progress past it resets the backoff.
     awaiting_since: Option<u64>,
-}
-
-impl RetransState {
-    fn new() -> Self {
-        RetransState {
-            next_at: SimTime::ZERO,
-            level: 0,
-            strikes: 0,
-            awaiting_since: None,
-        }
-    }
 }
 
 /// Which mechanism closed a loss-recovery window (drives the split
@@ -301,15 +303,15 @@ pub struct SimWorld {
     /// contiguous high-water mark each reported at its latest token
     /// visit. Messages at or below it are held by every daemon.
     token_aru: u64,
-    /// Current installed view of every group carried by this ring.
-    views: BTreeMap<GroupId, Rc<View>>,
+    /// The one group's currently installed view (its `group` names the
+    /// world's group).
+    view: Option<Rc<View>>,
     view_history: BTreeMap<ViewId, Rc<View>>,
     next_view_id: ViewId,
-    /// Queued membership changes, per group (FIFO within a group;
-    /// different groups run their membership protocols concurrently).
-    pending_changes: BTreeMap<GroupId, VecDeque<PendingChange>>,
-    /// In-progress membership protocol per group.
-    active: BTreeMap<GroupId, ActiveMembership>,
+    /// Queued membership changes, FIFO.
+    pending_changes: VecDeque<PendingChange>,
+    /// The in-progress membership protocol.
+    active: Option<ActiveMembership>,
     /// Non-token events in flight (quiescence detection).
     outstanding: u64,
     stats: WorldStats,
@@ -371,8 +373,8 @@ impl std::fmt::Debug for SimWorld {
             .field("now", &self.now())
             .field("clients", &self.clients.len())
             .field("daemons", &self.daemons.len())
-            .field("groups", &self.views.len())
-            .field("view", &self.views.get(&0).map(|v| v.id))
+            .field("group", &self.view.as_ref().map(|v| v.group))
+            .field("view", &self.view.as_ref().map(|v| v.id))
             .finish()
     }
 }
@@ -398,7 +400,7 @@ impl SimWorld {
                 delivered: 0,
                 installed_view: 0,
                 fec_buf: BTreeMap::new(),
-                retrans: RetransState::new(),
+                retrans: RetransState::default(),
             })
             .collect();
         let machines = (0..machine_count)
@@ -412,11 +414,11 @@ impl SimWorld {
             clients: Vec::new(),
             next_seq: 1,
             token_aru: 0,
-            views: BTreeMap::new(),
+            view: None,
             view_history: BTreeMap::new(),
             next_view_id: 1,
-            pending_changes: BTreeMap::new(),
-            active: BTreeMap::new(),
+            pending_changes: VecDeque::new(),
+            active: None,
             outstanding: 0,
             stats: WorldStats::default(),
             token_started: false,
@@ -503,18 +505,14 @@ impl SimWorld {
         self.install_initial_view_in(0, members);
     }
 
-    /// Installs the initial view of one group over a subset of
-    /// clients. Many groups can share the ring; each carries its own
-    /// view state while token, links and CPU contention are shared.
+    /// Installs the initial view over a subset of clients, naming the
+    /// world's one group `group` (the id its views carry).
     ///
     /// # Panics
     ///
-    /// Panics if the group already has a view or `members` is empty.
+    /// Panics if a view is already installed or `members` is empty.
     pub fn install_initial_view_in(&mut self, group: GroupId, members: Vec<ClientId>) {
-        assert!(
-            !self.views.contains_key(&group),
-            "initial view already installed for group {group}"
-        );
+        assert!(self.view.is_none(), "initial view already installed");
         assert!(!members.is_empty(), "initial view cannot be empty");
         let view = Rc::new(View {
             id: self.next_view_id,
@@ -537,48 +535,48 @@ impl SimWorld {
         self.start_token_if_needed();
     }
 
-    /// Injects a membership change into group `0`: `joined` clients
-    /// enter the view, `left` members leave it. The new view installs
-    /// after the membership protocol completes (several token
-    /// rotations).
+    /// Injects a membership change: `joined` clients enter the view,
+    /// `left` members leave it. The new view installs after the
+    /// membership protocol completes (several token rotations);
+    /// changes injected meanwhile queue FIFO.
     ///
     /// # Panics
     ///
     /// Panics if no initial view exists, a joining client is unknown or
-    /// already a member, or a leaving client is not a member.
+    /// already a member, a leaving client is not a member, or a client
+    /// is listed twice in `joined` or in `left`.
     pub fn inject_change(&mut self, joined: Vec<ClientId>, left: Vec<ClientId>) {
-        self.inject_change_in(0, joined, left);
+        // Validate against the membership as it will stand once every
+        // queued change has installed.
+        assert!(self.view.is_some(), "no initial view installed");
+        let members = self.projected_members();
+        for (i, &j) in joined.iter().enumerate() {
+            assert!(j < self.clients.len(), "unknown client {j}");
+            assert!(!members.contains(&j), "client {j} already a member");
+            assert!(!joined[..i].contains(&j), "client {j} joins twice");
+        }
+        for (i, &l) in left.iter().enumerate() {
+            assert!(members.contains(&l), "client {l} is not a member");
+            assert!(!left[..i].contains(&l), "client {l} leaves twice");
+        }
+        self.pending_changes
+            .push_back(PendingChange { joined, left });
+        self.maybe_start_membership();
     }
 
-    /// Injects a membership change into a specific group. Changes for
-    /// different groups proceed concurrently; changes within one group
-    /// queue FIFO.
+    /// [`SimWorld::inject_change`] for callers that name the group.
     ///
     /// # Panics
     ///
-    /// Panics if the group has no initial view, a joining client is
-    /// unknown or already a member, or a leaving client is not a
-    /// member of that group.
+    /// Panics if `group` is not the world's group, or as
+    /// [`SimWorld::inject_change`] does.
     pub fn inject_change_in(&mut self, group: GroupId, joined: Vec<ClientId>, left: Vec<ClientId>) {
-        // Validate against the group membership as it will stand once
-        // every queued change has installed.
+        let own = self.view.as_ref().expect("no initial view installed").group;
         assert!(
-            self.active.contains_key(&group) || self.views.contains_key(&group),
-            "no initial view installed for group {group}"
+            group == own,
+            "this world carries group {own}, not group {group}"
         );
-        let members = self.projected_members_of(group);
-        for &j in &joined {
-            assert!(j < self.clients.len(), "unknown client {j}");
-            assert!(!members.contains(&j), "client {j} already a member");
-        }
-        for &l in &left {
-            assert!(members.contains(&l), "client {l} is not a member");
-        }
-        self.pending_changes
-            .entry(group)
-            .or_default()
-            .push_back(PendingChange { joined, left });
-        self.maybe_start_membership(group);
+        self.inject_change(joined, left);
     }
 
     /// Convenience: one client joins.
@@ -601,44 +599,22 @@ impl SimWorld {
         self.inject_change(joining, vec![]);
     }
 
-    /// The group-`0` membership as it will stand once the active and
-    /// every queued change has installed (empty before any initial
-    /// view). Fault injectors consult this to aim joins/leaves at
-    /// clients whose membership status is already settled in-flight.
+    /// The membership as it will stand once the active and every
+    /// queued change has installed (empty before any initial view).
+    /// Fault injectors consult this to aim joins/leaves at clients
+    /// whose membership status is already settled in-flight.
     pub fn projected_members(&self) -> Vec<ClientId> {
-        self.projected_members_of(0)
-    }
-
-    /// Per-group variant of [`SimWorld::projected_members`].
-    pub fn projected_members_of(&self, group: GroupId) -> Vec<ClientId> {
-        let mut members: Vec<ClientId> = match self.active.get(&group) {
-            Some(active) => active.new_view.members.clone(),
-            None => self
-                .views
-                .get(&group)
-                .map(|v| v.members.clone())
-                .unwrap_or_default(),
-        };
-        if let Some(queue) = self.pending_changes.get(&group) {
-            for ch in queue {
-                members.retain(|m| !ch.left.contains(m));
-                members.extend_from_slice(&ch.joined);
-            }
+        let latest = self
+            .active
+            .as_ref()
+            .map(|a| &a.new_view)
+            .or(self.view.as_ref());
+        let mut members = latest.map(|v| v.members.clone()).unwrap_or_default();
+        for ch in &self.pending_changes {
+            members.retain(|m| !ch.left.contains(m));
+            members.extend_from_slice(&ch.joined);
         }
         members
-    }
-
-    /// Every group id known to the world (installed, installing, or
-    /// with queued changes), in ascending order.
-    fn group_ids(&self) -> Vec<GroupId> {
-        let mut ids: Vec<GroupId> = self.views.keys().copied().collect();
-        for g in self.active.keys().chain(self.pending_changes.keys()) {
-            if !ids.contains(g) {
-                ids.push(*g);
-            }
-        }
-        ids.sort_unstable();
-        ids
     }
 
     /// Crashes a daemon mid-token-rotation: it stops sequencing and
@@ -667,16 +643,7 @@ impl SimWorld {
         // close; only completed recoveries are attributed.
         self.lost_at.retain(|&(d, _), _| d != daemon);
         self.stats.daemon_crashes += 1;
-        let at = self.queue.now();
-        self.telemetry.record(|| Event {
-            at,
-            dur: Duration::ZERO,
-            actor: Actor::Daemon(daemon),
-            kind: EventKind::Fault {
-                action: "crash",
-                target: daemon,
-            },
-        });
+        self.record_fault(Actor::Daemon(daemon), "crash", daemon);
         // The machine died: its client processes die with it.
         let machine = self.daemons[daemon].machine;
         for c in 0..self.clients.len() {
@@ -711,16 +678,7 @@ impl SimWorld {
         );
         let until = self.queue.now() + duration;
         self.loss_burst = Some((rate, until));
-        let at = self.queue.now();
-        self.telemetry.record(|| Event {
-            at,
-            dur: Duration::ZERO,
-            actor: Actor::World,
-            kind: EventKind::Fault {
-                action: "loss_burst",
-                target: (rate * 100.0) as usize,
-            },
-        });
+        self.record_fault(Actor::World, "loss_burst", (rate * 100.0) as usize);
     }
 
     /// Schedules every fault in `plan` as a simulation event at its
@@ -767,19 +725,15 @@ impl SimWorld {
         self.queue.now()
     }
 
-    /// The currently installed view of group `0`, if any.
+    /// The currently installed view, if any.
     pub fn view(&self) -> Option<&View> {
-        self.views.get(&0).map(Rc::as_ref)
+        self.view.as_deref()
     }
 
-    /// The currently installed view of a specific group, if any.
-    pub fn view_of(&self, group: GroupId) -> Option<&View> {
-        self.views.get(&group).map(Rc::as_ref)
-    }
-
-    /// Every view a group has installed or begun installing, in id
+    /// Every view `group` has installed or begun installing, in id
     /// (installation) order — index 0 is the initial view, index `k`
-    /// the view produced by the group's `k`-th membership change.
+    /// the view produced by the `k`-th membership change. Empty for
+    /// any group but the world's own.
     pub fn views_of(&self, group: GroupId) -> Vec<Rc<View>> {
         self.view_history
             .values()
@@ -788,15 +742,9 @@ impl SimWorld {
             .collect()
     }
 
-    /// Number of groups with an installed view.
-    pub fn group_count(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Whether a membership change is in progress or queued (any
-    /// group).
+    /// Whether a membership change is in progress or queued.
     pub fn membership_busy(&self) -> bool {
-        !self.active.is_empty() || self.pending_changes.values().any(|q| !q.is_empty())
+        self.active.is_some() || !self.pending_changes.is_empty()
     }
 
     /// Engine counters.
@@ -1020,8 +968,7 @@ impl SimWorld {
     /// ring no longer waits on them.
     pub fn quiescent(&self) -> bool {
         self.outstanding == 0
-            && self.active.is_empty()
-            && self.pending_changes.values().all(VecDeque::is_empty)
+            && !self.membership_busy()
             && self
                 .daemons
                 .iter()
@@ -1032,6 +979,17 @@ impl SimWorld {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// Records a fault event at the current instant.
+    fn record_fault(&self, actor: Actor, action: &'static str, target: usize) {
+        let at = self.queue.now();
+        self.telemetry.record(|| Event {
+            at,
+            dur: Duration::ZERO,
+            actor,
+            kind: EventKind::Fault { action, target },
+        });
+    }
 
     fn schedule(&mut self, delay: Duration, ev: Ev) {
         if !matches!(ev, Ev::Token { .. }) {
@@ -1055,23 +1013,19 @@ impl SimWorld {
     }
 
     fn adopt_view(&mut self, view: &Rc<View>) {
-        self.views.insert(view.group, Rc::clone(view));
+        self.view = Some(Rc::clone(view));
         self.view_history.insert(view.id, Rc::clone(view));
         self.stats.views_installed += 1;
     }
 
-    fn maybe_start_membership(&mut self, group: GroupId) {
-        if self.active.contains_key(&group) {
+    fn maybe_start_membership(&mut self) {
+        if self.active.is_some() {
             return;
         }
-        let Some(view) = self.views.get(&group).cloned() else {
+        let Some(view) = self.view.clone() else {
             return;
         };
-        let Some(change) = self
-            .pending_changes
-            .get_mut(&group)
-            .and_then(VecDeque::pop_front)
-        else {
+        let Some(change) = self.pending_changes.pop_front() else {
             return;
         };
         let mut members: Vec<ClientId> = view
@@ -1083,22 +1037,19 @@ impl SimWorld {
         members.extend_from_slice(&change.joined);
         let new_view = Rc::new(View {
             id: self.next_view_id,
-            group,
+            group: view.group,
             members,
             joined: change.joined,
             left: change.left,
         });
         self.next_view_id += 1;
         self.view_history.insert(new_view.id, Rc::clone(&new_view));
-        self.active.insert(
-            group,
-            ActiveMembership {
-                new_view,
-                rounds_left: self.cfg.membership_rounds,
-                installing: false,
-                installed: vec![false; self.daemons.len()],
-            },
-        );
+        self.active = Some(ActiveMembership {
+            new_view,
+            rounds_left: self.cfg.membership_rounds,
+            installing: false,
+            installed: vec![false; self.daemons.len()],
+        });
     }
 
     /// Stable metric name of an event variant (the sim event loop's
@@ -1153,45 +1104,32 @@ impl SimWorld {
     fn on_crash_detect(&mut self, daemon: DaemonId) {
         self.ring.retain(|&d| d != daemon);
         self.stats.ring_reformations += 1;
-        let at = self.queue.now();
-        self.telemetry.record(|| Event {
-            at,
-            dur: Duration::ZERO,
-            actor: Actor::Daemon(daemon),
-            kind: EventKind::Fault {
-                action: "crash_detected",
-                target: daemon,
-            },
-        });
+        self.record_fault(Actor::Daemon(daemon), "crash_detected", daemon);
         self.token_gen += 1;
         if let Some(&head) = self.ring.first() {
             let gen = self.token_gen;
             self.queue
                 .schedule(Duration::ZERO, Ev::Token { daemon: head, gen });
         }
-        // The dead daemon can never install a pending view; any
+        // The dead daemon can never install a pending view; a
         // membership waiting only on it completes now.
-        for group in self.group_ids() {
-            self.check_membership_complete(group);
-        }
-        // Its members leave via a view change, per group (if any view
-        // exists yet).
+        self.check_membership_complete();
+        // Its members leave via a view change (if a view exists yet).
         let machine = self.daemons[daemon].machine;
-        for group in self.group_ids() {
-            let lost: Vec<ClientId> = self
-                .projected_members_of(group)
-                .into_iter()
-                .filter(|&c| self.clients[c].machine == machine)
-                .collect();
-            if !lost.is_empty() {
-                self.inject_change_in(group, vec![], lost);
-            }
+        let lost: Vec<ClientId> = self
+            .projected_members()
+            .into_iter()
+            .filter(|&c| self.clients[c].machine == machine)
+            .collect();
+        if !lost.is_empty() {
+            self.inject_change(vec![], lost);
         }
     }
 
     /// Executes one scheduled fault from a [`crate::FaultPlan`]. Faults
     /// that no longer apply (daemon already dead, members already
-    /// gone/present) degrade to no-ops so randomized plans stay valid.
+    /// gone/present) degrade to no-ops so randomized plans stay valid;
+    /// a member listed twice moves once.
     fn on_fault(&mut self, fault: crate::fault::Fault) {
         use crate::fault::Fault;
         match fault {
@@ -1203,47 +1141,22 @@ impl SimWorld {
             Fault::LossBurst { rate, duration } => self.set_loss_burst(rate, duration),
             Fault::Partition { members } => {
                 let current = self.projected_members();
-                let leaving: Vec<ClientId> = members
-                    .into_iter()
-                    .filter(|m| current.contains(m))
-                    .collect();
+                let leaving =
+                    first_occurrences(members.into_iter().filter(|m| current.contains(m)));
                 if !leaving.is_empty() {
-                    let at = self.queue.now();
-                    let count = leaving.len();
-                    self.telemetry.record(|| Event {
-                        at,
-                        dur: Duration::ZERO,
-                        actor: Actor::World,
-                        kind: EventKind::Fault {
-                            action: "partition",
-                            target: count,
-                        },
-                    });
+                    self.record_fault(Actor::World, "partition", leaving.len());
                     self.inject_partition(leaving);
                 }
             }
             Fault::Heal { members } => {
                 let current = self.projected_members();
-                let joining: Vec<ClientId> = members
-                    .into_iter()
-                    .filter(|&m| {
-                        m < self.clients.len()
-                            && !current.contains(&m)
-                            && self.daemons[self.clients[m].machine].alive
-                    })
-                    .collect();
+                let joining = first_occurrences(members.into_iter().filter(|&m| {
+                    m < self.clients.len()
+                        && !current.contains(&m)
+                        && self.daemons[self.clients[m].machine].alive
+                }));
                 if !joining.is_empty() {
-                    let at = self.queue.now();
-                    let count = joining.len();
-                    self.telemetry.record(|| Event {
-                        at,
-                        dur: Duration::ZERO,
-                        actor: Actor::World,
-                        kind: EventKind::Fault {
-                            action: "heal",
-                            target: count,
-                        },
-                    });
+                    self.record_fault(Actor::World, "heal", joining.len());
                     self.inject_merge(joining);
                 }
             }
@@ -1288,11 +1201,9 @@ impl SimWorld {
                     .iter()
                     .filter(|d| d.alive)
                     .all(|d| d.pending.is_empty() && d.delivered == self.next_seq - 1);
-            // Every group's membership protocol advances on the same
-            // ring-head pass: the rounds are shared token rotations,
-            // and the flush condition is global because the sequencer
-            // (and therefore stability) is shared across groups.
-            for active in self.active.values_mut() {
+            // The membership protocol's rounds are token rotations:
+            // each ring-head pass advances it by one.
+            if let Some(active) = &mut self.active {
                 if !active.installing {
                     if active.rounds_left > 0 {
                         active.rounds_left -= 1;
@@ -1416,18 +1327,14 @@ impl SimWorld {
         // 3. Deliver stable messages to local clients.
         self.deliver_stable(daemon_id);
 
-        // 4. Install pending views whose membership protocols are done
-        //    (ascending group order — BTreeMap iteration — so the
-        //    install sequence is deterministic).
-        let mut installs: Vec<Rc<View>> = Vec::new();
-        for active in self.active.values_mut() {
+        // 4. Install the pending view once its membership protocol is
+        //    done.
+        if let Some(active) = &mut self.active {
             if active.installing && !active.installed[daemon_id] {
                 active.installed[daemon_id] = true;
-                installs.push(Rc::clone(&active.new_view));
+                let view = Rc::clone(&active.new_view);
+                self.install_view_at_daemon(daemon_id, &view);
             }
-        }
-        for view in installs {
-            self.install_view_at_daemon(daemon_id, &view);
         }
 
         // 5. Forward the token to the ring successor. (A daemon that
@@ -1513,16 +1420,16 @@ impl SimWorld {
             .find(|&d| d != requester && self.daemons[d].alive)
     }
 
-    /// Ask retransmission sources to re-send up to
-    /// [`GcsConfig::recovery_batch`] messages this daemon is missing
-    /// below the global high-water mark. Wider gaps recover over
-    /// several token visits; each visit that issues at least one
-    /// request counts as one retransmission round.
+    /// Ask retransmission sources to re-send up to [`RECOVERY_BATCH`]
+    /// messages this daemon is missing below the global high-water
+    /// mark. Wider gaps recover over several token visits; each visit
+    /// that issues at least one request counts as one retransmission
+    /// round.
     fn request_missing(&mut self, daemon: DaemonId) {
         let have_upto = self.daemons[daemon].contiguous;
         let missing: Vec<u64> = ((have_upto + 1)..self.next_seq)
             .filter(|seq| !self.daemons[daemon].received.contains_key(seq))
-            .take(self.cfg.recovery_batch)
+            .take(RECOVERY_BATCH)
             .collect();
         let mut requested = 0u64;
         for seq in missing {
@@ -1763,7 +1670,7 @@ impl SimWorld {
                 .count();
             missing as f64 / span as f64
         };
-        let a = self.cfg.loss_ewma_alpha;
+        let a = LOSS_EWMA_ALPHA;
         let prev = self.loss_ewma.get(&daemon).copied().unwrap_or(0.0);
         let blended = a * sample + (1.0 - a) * prev;
         let next = if self.cfg.fec_fast_attack {
@@ -1786,8 +1693,7 @@ impl SimWorld {
     /// copies) get that window to close the gap locally, so a run
     /// whose parity budget covers its losses spends **zero** request
     /// rounds. Only a gap that survives the window costs a round, and
-    /// every further no-progress round doubles the window (capped)
-    /// and counts a strike toward the give-up escalation.
+    /// every further no-progress round doubles the window (capped).
     fn maybe_request_missing(&mut self, daemon: DaemonId) {
         if self.cfg.retrans_backoff == Duration::ZERO {
             self.request_missing(daemon);
@@ -1802,7 +1708,6 @@ impl SimWorld {
                 // a fresh episode and re-arms below.
                 let st = &mut self.daemons[daemon].retrans;
                 st.level = 0;
-                st.strikes = 0;
                 st.awaiting_since = None;
             }
         }
@@ -1818,21 +1723,13 @@ impl SimWorld {
             return;
         }
         // A full window elapsed with no progress: spend a round.
-        {
-            let st = &mut self.daemons[daemon].retrans;
-            st.strikes += 1;
-            st.level = (st.level + 1).min(16);
-        }
+        let level = (self.daemons[daemon].retrans.level + 1).min(16);
+        self.daemons[daemon].retrans.level = level;
         self.request_missing(daemon);
-        let delay = self.jittered_backoff(self.daemons[daemon].retrans.level);
+        let delay = self.jittered_backoff(level);
         let st = &mut self.daemons[daemon].retrans;
         st.awaiting_since = Some(contiguous);
         st.next_at = now + delay;
-        if self.cfg.retrans_give_up > 0
-            && self.daemons[daemon].retrans.strikes >= self.cfg.retrans_give_up
-        {
-            self.escalate_give_up(daemon);
-        }
     }
 
     /// One backoff window at the given exponential level: the full
@@ -1851,37 +1748,6 @@ impl SimWorld {
         let u = (self.retrans_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         let half = full / 2;
         Duration::from_nanos(half + ((full - half) as f64 * u) as u64)
-    }
-
-    /// Give-up escalation: after [`GcsConfig::retrans_give_up`]
-    /// consecutive no-progress request rounds the requester declares
-    /// the origin of its oldest missing message unreachable and
-    /// escalates to the crash machinery — the ring reforms without the
-    /// origin and the surviving buffers source the recovery (exactly
-    /// the PR 3 crash-detection path).
-    fn escalate_give_up(&mut self, daemon: DaemonId) {
-        let st = &mut self.daemons[daemon].retrans;
-        st.strikes = 0;
-        st.level = 0;
-        st.awaiting_since = None;
-        let first_missing = self.daemons[daemon].contiguous + 1;
-        let Some(origin) = self.sent_msgs.get(&first_missing).map(|m| m.origin) else {
-            return;
-        };
-        if origin == daemon || !self.daemons[origin].alive || self.ring.len() <= 1 {
-            return;
-        }
-        let at = self.queue.now();
-        self.telemetry.record(|| Event {
-            at,
-            dur: Duration::ZERO,
-            actor: Actor::Daemon(daemon),
-            kind: EventKind::Fault {
-                action: "give_up",
-                target: origin,
-            },
-        });
-        self.inject_crash(origin);
     }
 
     fn on_parity_recv(&mut self, daemon: DaemonId, shard: Rc<ParityShard>) {
@@ -2230,30 +2096,23 @@ impl SimWorld {
                 self.clients[l].alive = false;
             }
         }
-        self.check_membership_complete(view.group);
+        self.check_membership_complete();
     }
 
-    /// Cluster-wide membership completion for one group: the new view
-    /// is adopted once every *alive* daemon has installed it (a
-    /// crashed daemon never will, and the reformed ring does not wait
-    /// on it).
-    fn check_membership_complete(&mut self, group: GroupId) {
-        let done = self
-            .active
-            .get(&group)
-            .map(|a| {
-                a.installed
-                    .iter()
-                    .zip(&self.daemons)
-                    .all(|(&installed, d)| installed || !d.alive)
-            })
-            .unwrap_or(false);
-        if done {
-            let Some(active) = self.active.remove(&group) else {
-                return;
-            };
+    /// Cluster-wide membership completion: the new view is adopted
+    /// once every *alive* daemon has installed it (a crashed daemon
+    /// never will, and the reformed ring does not wait on it).
+    fn check_membership_complete(&mut self) {
+        let daemons = &self.daemons;
+        let done = self.active.take_if(|a| {
+            a.installed
+                .iter()
+                .zip(daemons)
+                .all(|(&installed, d)| installed || !d.alive)
+        });
+        if let Some(active) = done {
             self.adopt_view(&active.new_view);
-            self.maybe_start_membership(group);
+            self.maybe_start_membership();
         }
     }
 
@@ -2393,6 +2252,17 @@ impl SimWorld {
             self.schedule(submit_delay, Ev::ClientSubmit { client, out });
         }
     }
+}
+
+/// `ids` without repeats: each id stays at its first occurrence.
+fn first_occurrences(ids: impl Iterator<Item = ClientId>) -> Vec<ClientId> {
+    let mut out = Vec::new();
+    for id in ids {
+        if !out.contains(&id) {
+            out.push(id);
+        }
+    }
+    out
 }
 
 /// Serializes a sequenced message into a FEC record. The layout is
@@ -2666,7 +2536,6 @@ mod tests {
         let mut cfg = testbed::lan();
         cfg.fec_adaptive = true;
         cfg.fec_fast_attack = true;
-        cfg.loss_ewma_alpha = 0.2;
         cfg.fec_parity = 0;
         cfg.fec_parity_max = 16;
         let mut w = SimWorld::new(cfg);
@@ -2692,7 +2561,6 @@ mod tests {
     fn without_fast_attack_the_estimate_blends() {
         let mut cfg = testbed::lan();
         cfg.fec_adaptive = true;
-        cfg.loss_ewma_alpha = 0.2;
         let mut w = SimWorld::new(cfg);
         w.next_seq = 11;
         w.update_loss_ewma(3);

@@ -94,9 +94,10 @@ pub type ClientId = usize;
 /// Daemon identifier (one daemon per machine).
 pub type DaemonId = usize;
 
-/// Group identifier: one daemon ring can carry many independent
-/// lightweight groups (per-group view state over a shared token and
-/// link model). Single-group worlds use group `0` throughout.
+/// Group identifier, carried by every [`View`]. A [`SimWorld`] runs
+/// exactly one group over its daemon ring; the id (`0` unless
+/// [`SimWorld::install_initial_view_in`] names another) tells apart the
+/// views of groups simulated in separate worlds.
 pub type GroupId = usize;
 
 /// Machine identifier.

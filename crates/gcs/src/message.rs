@@ -71,11 +71,10 @@ pub type ViewId = u64;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct View {
     /// Monotonically increasing view number. View ids are unique
-    /// across the whole world (all groups share one counter), so a
-    /// view id alone identifies an epoch.
+    /// within a world, so a view id alone identifies an epoch.
     pub id: ViewId,
-    /// The group this view belongs to. Worlds that never ask for more
-    /// than one group see only group `0`.
+    /// The group this view belongs to: the world's one group, `0`
+    /// unless its initial view named another.
     pub group: GroupId,
     /// Current members, in daemon/ring order (the order Spread reports;
     /// the protocols use it to pick controllers and sponsors).

@@ -30,16 +30,13 @@ pub fn lan() -> GcsConfig {
         loss_seed: 0x10_55,
         gilbert: None,
         wire_granularity: crate::config::WireGranularity::WholeKb,
-        recovery_batch: 32,
         crash_detection_timeout: Duration::from_millis(5),
         fec_parity: 0,
         fec_parity_max: 4,
         fec_adaptive: false,
-        loss_ewma_alpha: 0.2,
         fec_fast_attack: false,
         retrans_backoff: Duration::ZERO,
         retrans_backoff_max: Duration::from_millis(10),
-        retrans_give_up: 0,
     }
 }
 
@@ -98,16 +95,13 @@ pub fn wan() -> GcsConfig {
         loss_seed: 0x10_55,
         gilbert: None,
         wire_granularity: crate::config::WireGranularity::WholeKb,
-        recovery_batch: 32,
         crash_detection_timeout: Duration::from_millis(1000),
         fec_parity: 0,
         fec_parity_max: 4,
         fec_adaptive: false,
-        loss_ewma_alpha: 0.2,
         fec_fast_attack: false,
         retrans_backoff: Duration::ZERO,
         retrans_backoff_max: Duration::from_millis(2000),
-        retrans_give_up: 0,
     }
 }
 
@@ -150,16 +144,13 @@ pub fn medium_wan(one_way: Duration) -> GcsConfig {
         loss_seed: 0x10_55,
         gilbert: None,
         wire_granularity: crate::config::WireGranularity::WholeKb,
-        recovery_batch: 32,
         crash_detection_timeout: Duration::from_millis(500),
         fec_parity: 0,
         fec_parity_max: 4,
         fec_adaptive: false,
-        loss_ewma_alpha: 0.2,
         fec_fast_attack: false,
         retrans_backoff: Duration::ZERO,
         retrans_backoff_max: Duration::from_millis(1000),
-        retrans_give_up: 0,
     }
 }
 

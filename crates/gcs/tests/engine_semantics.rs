@@ -425,6 +425,9 @@ fn cascaded_membership_changes_queue_fifo() {
     world.run_until_quiescent();
     assert!(!world.membership_busy());
     assert_eq!(world.view().unwrap().members, vec![1, 2, 3, 4, 5]);
+    // A world whose initial view names no group carries group 0.
+    assert_eq!(world.view().unwrap().group, 0);
+    assert_eq!(world.views_of(0).len(), 4);
     // Each member saw each view it belonged to, in order.
     let views = &world.client::<Recorder>(1).views;
     let sizes: Vec<usize> = views.iter().map(|(_, m)| m.len()).collect();
@@ -462,4 +465,61 @@ fn run_while_stops_on_predicate() {
     // Continue to quiescence afterwards.
     world.run_until_quiescent();
     assert_eq!(world.client::<Recorder>(2).deliveries.len(), 1);
+}
+
+/// A world whose one group is named `5` rather than the default `0`.
+fn group_five_world() -> SimWorld {
+    let mut world = world_with_recorders(testbed::lan(), 4);
+    world.install_initial_view_in(5, vec![0, 1, 2]);
+    world
+}
+
+#[test]
+fn install_initial_view_in_names_the_worlds_group() {
+    let mut world = group_five_world();
+    world.run_until_quiescent();
+    let view = world.view().expect("view installed");
+    assert_eq!(view.group, 5);
+    assert_eq!(view.members, vec![0, 1, 2]);
+    // Advance through idle token circulation, then change the group by
+    // its name.
+    let t0 = world.now();
+    let target = t0 + Duration::from_millis(50);
+    world.run_until(target);
+    assert!(world.now() >= t0 + Duration::from_millis(49));
+    assert!(world.now() <= target);
+    world.inject_change_in(5, vec![3], vec![1]);
+    world.run_until_quiescent();
+    let view = world.view().expect("view");
+    assert_eq!(view.group, 5);
+    assert_eq!(view.members, vec![0, 2, 3]);
+    // The history holds the bootstrap view, then the change's view.
+    let history: Vec<(usize, Vec<usize>)> = world
+        .views_of(5)
+        .iter()
+        .map(|v| (v.group, v.members.clone()))
+        .collect();
+    assert_eq!(history, vec![(5, vec![0, 1, 2]), (5, vec![0, 2, 3])]);
+    assert!(world.views_of(0).is_empty());
+}
+
+#[test]
+#[should_panic(expected = "initial view already installed")]
+fn second_initial_view_panics() {
+    let mut world = group_five_world();
+    world.install_initial_view_in(6, vec![3]);
+}
+
+#[test]
+#[should_panic(expected = "not group 0")]
+fn change_for_another_group_panics() {
+    let mut world = group_five_world();
+    world.inject_change_in(0, vec![3], vec![]);
+}
+
+#[test]
+#[should_panic(expected = "no initial view installed")]
+fn named_change_before_any_view_panics() {
+    let mut world = world_with_recorders(testbed::lan(), 4);
+    world.inject_change_in(5, vec![3], vec![]);
 }

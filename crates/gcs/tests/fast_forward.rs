@@ -168,15 +168,16 @@ fn fast_forward_inside_a_busy_run_until_is_equivalent_to_stepping() {
 /// traffic every daemon's loss estimate is non-zero, and each idle
 /// token visit decays it. Skipping those visits would leave the
 /// estimate stale and inflate the next generation's parity budget.
+/// Sixteen sends per client load the ring enough that, at the engine's
+/// fixed α of 0.2, a stale estimate still changes the run (four do not).
 fn drive_adaptive_fec(fast_forward: bool) -> Trace {
     let mut cfg = testbed::lan();
     cfg.loss_rate = 0.4;
     cfg.fec_parity = 1;
     cfg.fec_parity_max = 16;
     cfg.fec_adaptive = true;
-    cfg.loss_ewma_alpha = 0.02;
     cfg.fec_fast_attack = true;
-    let mut world = build_world_with(cfg, fast_forward, |_| vec![vec![7u8; 64]; 4]);
+    let mut world = build_world_with(cfg, fast_forward, |_| vec![vec![7u8; 64]; 16]);
     world.run_until_quiescent();
     let t0 = world.now();
     world.run_until(t0 + Duration::from_millis(2_000));

@@ -102,10 +102,8 @@ fn crashing_every_daemon_is_a_graceful_noop() {
 
 /// Opens a gap of at least `gap` messages at every surviving daemon by
 /// sending through a total blackout, then lets retransmission heal it.
-fn run_gap_recovery(gap: u8, recovery_batch: usize) -> SimWorld {
-    let mut cfg = testbed::lan();
-    cfg.recovery_batch = recovery_batch;
-    let mut world = SimWorld::new(cfg);
+fn run_gap_recovery(gap: u8) -> SimWorld {
+    let mut world = SimWorld::new(testbed::lan());
     for _ in 0..2 {
         world.add_client(Box::new(Chatty {
             send_count: gap,
@@ -122,7 +120,7 @@ fn run_gap_recovery(gap: u8, recovery_batch: usize) -> SimWorld {
 
 #[test]
 fn sixty_four_message_gap_fully_recovers() {
-    let world = run_gap_recovery(32, 32); // 64 messages in flight
+    let world = run_gap_recovery(32); // 64 messages in flight
     assert!(world.stats().messages_lost >= 64, "burst must drop copies");
     for c in 0..2 {
         let m = world.client::<Chatty>(c);
@@ -135,25 +133,6 @@ fn sixty_four_message_gap_fully_recovers() {
         world.stats().retransmission_rounds
     );
     assert!(world.stats().retransmissions >= 64);
-}
-
-#[test]
-fn recovery_batch_cap_is_configurable() {
-    let wide = run_gap_recovery(32, 64);
-    let narrow = run_gap_recovery(32, 4);
-    // Both fully recover…
-    for w in [&wide, &narrow] {
-        for c in 0..2 {
-            assert_eq!(w.client::<Chatty>(c).got.len(), 64);
-        }
-    }
-    // …but the narrow cap needs more token visits with requests.
-    assert!(
-        narrow.stats().retransmission_rounds > wide.stats().retransmission_rounds,
-        "narrow {} vs wide {}",
-        narrow.stats().retransmission_rounds,
-        wide.stats().retransmission_rounds
-    );
 }
 
 #[test]
@@ -204,4 +183,40 @@ fn heal_skips_members_on_crashed_machines() {
     let members = &world.view().expect("view").members;
     assert!(members.contains(&1));
     assert!(!members.contains(&2));
+}
+
+#[test]
+fn duplicate_ids_in_a_fault_plan_move_once() {
+    let mut world = SimWorld::new(testbed::lan());
+    for _ in 0..3 {
+        world.add_client(Box::new(Chatty::default()));
+    }
+    world.install_initial_view_of(vec![0, 1]);
+    // A heal naming client 2 twice admits it once: the view lists it
+    // once and it receives that view once.
+    world.apply_fault_plan(FaultPlan::new().heal(Duration::from_millis(1), vec![2, 2]));
+    world.run_until_quiescent();
+    assert_eq!(world.view().expect("view").members, vec![0, 1, 2]);
+    assert_eq!(world.client::<Chatty>(2).views.len(), 1);
+    // A partition naming client 1 twice removes it once.
+    world.apply_fault_plan(FaultPlan::new().partition(Duration::from_millis(1), vec![1, 1]));
+    world.run_until_quiescent();
+    let view = world.view().expect("view");
+    assert_eq!(view.members, vec![0, 2]);
+    assert_eq!(view.left, vec![1]);
+}
+
+#[test]
+#[should_panic(expected = "joins twice")]
+fn inject_change_rejects_a_repeated_joiner() {
+    let mut world = world_of(2, 0);
+    world.add_client(Box::new(Chatty::default()));
+    world.inject_change(vec![2, 2], vec![]);
+}
+
+#[test]
+#[should_panic(expected = "leaves twice")]
+fn inject_change_rejects_a_repeated_leaver() {
+    let mut world = world_of(3, 0);
+    world.inject_change(vec![], vec![1, 1]);
 }

@@ -330,11 +330,6 @@ impl Recorder {
     pub fn hub(&self) -> &MetricsHub {
         &self.hub
     }
-
-    /// Mutable access to the typed metrics hub.
-    pub fn hub_mut(&mut self) -> &mut MetricsHub {
-        &mut self.hub
-    }
 }
 
 /// Cheap handle to a shared [`Recorder`]; `None` means disabled.
@@ -393,11 +388,6 @@ impl Telemetry {
     /// Runs `f` against the recorder when enabled, returning its result.
     pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> Option<R> {
         self.inner.as_ref().map(|rec| f(&rec.borrow()))
-    }
-
-    /// Runs `f` with mutable recorder access when enabled.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
-        self.inner.as_ref().map(|rec| f(&mut rec.borrow_mut()))
     }
 
     /// Clones the captured events (empty when disabled).

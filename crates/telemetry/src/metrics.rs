@@ -1,11 +1,11 @@
-//! Typed, mergeable metrics keyed by `(layer, name, protocol, group)`.
+//! Typed, mergeable metrics keyed by `(layer, name, protocol)`.
 //!
 //! This module is the one metrics store: every telemetry event feeds
 //! it through [`crate::Recorder::push`], and the run manifests and the
 //! `bench-diff` regression gate are built on it:
 //!
 //! * [`Key`] is a `Copy` composite of a [`Layer`], a static metric
-//!   name and optional protocol/group labels — constructing one
+//!   name and an optional protocol label — constructing one
 //!   allocates nothing, so hot paths can build keys unconditionally
 //!   and let the disabled-telemetry branch throw them away.
 //! * [`LogHistogram`] is a log-linear latency histogram reporting
@@ -54,8 +54,8 @@ impl Layer {
     }
 }
 
-/// A metric identity: layer + static name + optional protocol and
-/// group labels. `Copy`, allocation-free, totally ordered.
+/// A metric identity: layer + static name + optional protocol label.
+/// `Copy`, allocation-free, totally ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Producing layer.
@@ -64,18 +64,15 @@ pub struct Key {
     pub name: &'static str,
     /// Protocol label (`"GDH"`, …) where the metric is per-protocol.
     pub protocol: Option<&'static str>,
-    /// Group label where the metric is per-group.
-    pub group: Option<u64>,
 }
 
 impl Key {
-    /// A key with no protocol/group labels.
+    /// A key with no protocol label.
     pub const fn new(layer: Layer, name: &'static str) -> Self {
         Key {
             layer,
             name,
             protocol: None,
-            group: None,
         }
     }
 
@@ -85,25 +82,14 @@ impl Key {
         self
     }
 
-    /// This key labelled with a group.
-    pub const fn group(mut self, group: u64) -> Self {
-        self.group = Some(group);
-        self
-    }
-
-    /// Canonical path rendering: `layer/name`, `layer/PROTO/name` or
-    /// `layer/PROTO/g42/name`. Used as the manifest JSON key.
+    /// Canonical path rendering: `layer/name` or `layer/PROTO/name`.
+    /// Used as the manifest JSON key.
     pub fn path(&self) -> String {
         let mut s = String::with_capacity(32);
         s.push_str(self.layer.as_str());
         s.push('/');
         if let Some(p) = self.protocol {
             s.push_str(p);
-            s.push('/');
-        }
-        if let Some(g) = self.group {
-            s.push('g');
-            s.push_str(&g.to_string());
             s.push('/');
         }
         s.push_str(self.name);
@@ -416,11 +402,6 @@ mod tests {
         let k = Key::new(Layer::Gcs, "token_rotation");
         assert_eq!(k.path(), "gcs/token_rotation");
         assert_eq!(k.protocol("TGDH").path(), "gcs/TGDH/token_rotation");
-        assert_eq!(
-            k.protocol("TGDH").group(3).path(),
-            "gcs/TGDH/g3/token_rotation"
-        );
-        assert_eq!(k.group(9).path(), "gcs/g9/token_rotation");
         // Ordering is total and stable.
         assert!(Key::new(Layer::Sim, "a") < Key::new(Layer::Gcs, "a"));
         assert!(Key::new(Layer::Gcs, "a") < Key::new(Layer::Gcs, "b"));
