@@ -86,9 +86,10 @@ impl Config {
         let mut cfg = Config::default();
         let scopes: &[(&str, &[&str])] = &[
             // L1 panic-freedom: protocol drivers, the secure session
-            // layer and the GCS engine. Harness/experiment code and
-            // shared data structures (tree.rs documents its arena
-            // invariants with `# Panics`) are out of scope.
+            // layer and the GCS engine with its loss-recovery module.
+            // Harness/experiment code and shared data structures
+            // (tree.rs documents its arena invariants with `# Panics`)
+            // are out of scope.
             (
                 "L1",
                 &[
@@ -97,6 +98,7 @@ impl Config {
                     "crates/core/src/member.rs",
                     "crates/core/src/envelope.rs",
                     "crates/gcs/src/engine.rs",
+                    "crates/gcs/src/recovery.rs",
                 ],
             ),
             // The FEC codec sits on the engine's delivery path: decode
@@ -397,6 +399,8 @@ mod tests {
         let cfg = Config::workspace_default();
         assert!(cfg.in_scope("L1-PANIC", "crates/core/src/protocols/gdh.rs"));
         assert!(cfg.in_scope("L1-INDEX", "crates/gcs/src/engine.rs"));
+        assert!(cfg.in_scope("L1-PANIC", "crates/gcs/src/recovery.rs"));
+        assert!(cfg.in_scope("L1-INDEX", "crates/gcs/src/recovery.rs"));
         assert!(!cfg.in_scope("L1-PANIC", "crates/core/src/tree.rs"));
         assert!(cfg.in_scope("L4-HASH", "crates/sim/src/queue.rs"));
         assert!(!cfg.in_scope("L4-HASH", "crates/core/src/session.rs"));

@@ -131,28 +131,6 @@ impl ClientCtx<'_> {
             view_id: self.view_id,
         });
     }
-
-    /// Sends a FIFO multicast (unordered relative to Agreed traffic).
-    pub fn multicast_fifo(&mut self, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Fifo,
-            dest: Dest::All,
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
-    }
-
-    /// Sends a causally-ordered multicast: receivers deliver it only
-    /// after everything the sender had seen when it sent (vector-clock
-    /// causality), without the token ring's total-order cost.
-    pub fn multicast_causal(&mut self, payload: impl Into<Bytes>) {
-        self.outgoing.push(Outgoing {
-            service: Service::Causal,
-            dest: Dest::All,
-            payload: payload.into(),
-            view_id: self.view_id,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -175,8 +153,7 @@ mod tests {
         ctx.multicast_agreed(vec![1]);
         ctx.unicast_fifo(3, vec![2]);
         ctx.unicast_agreed(4, vec![3]);
-        ctx.multicast_fifo(vec![4]);
-        assert_eq!(ctx.outgoing.len(), 4);
+        assert_eq!(ctx.outgoing.len(), 3);
         assert_eq!(ctx.outgoing[0].service, Service::Agreed);
         assert_eq!(ctx.outgoing[0].dest, Dest::All);
         assert_eq!(ctx.outgoing[1].service, Service::Fifo);

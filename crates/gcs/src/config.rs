@@ -137,10 +137,10 @@ impl GcsConfig {
             self.flow_control_max_msgs + parity_ceiling <= crate::fec::MAX_SHARDS,
             "a fan-out generation (flow control + parity) must fit the erasure code's field"
         );
-        // Required unconditionally (not just when adaptive): the budget
-        // clamp `want.clamp(fec_parity, fec_parity_max)` panics on an
-        // inverted range, and a config validated non-adaptive today may
-        // be re-run adaptive tomorrow.
+        // Required unconditionally, so one config can be run with and
+        // without `fec_adaptive`: the adaptive budget clamps to
+        // `[fec_parity, fec_parity_max]`, which panics on an inverted
+        // range.
         assert!(
             self.fec_parity_max >= self.fec_parity,
             "parity ceiling (fec_parity_max) must be at least the floor (fec_parity)"

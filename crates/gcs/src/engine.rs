@@ -30,38 +30,35 @@
 //!
 //! A world carries exactly one group: every workload builds one world
 //! per group, so no group's results depend on another group's traffic.
+//!
+//! ## Loss and recovery
+//!
+//! Loss, FEC repair, retransmission backoff and the loss estimator live
+//! in [`crate::recovery`]. Every daemon-to-daemon copy — data fan-out,
+//! parity fan-out, retransmission — goes through
+//! [`SimWorld::send_copy`], which asks that module whether the copy is
+//! lost and what it costs on the wire.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use gkap_sim::{CpuScheduler, Duration, EventQueue, SimTime};
-use gkap_sim::{RandomSource, SplitMix64};
 use gkap_telemetry::metrics::{Key, Layer};
 use gkap_telemetry::{Actor, Event, EventKind, Telemetry};
 
 use crate::client::{Client, ClientCtx, Outgoing};
-use crate::config::{GcsConfig, WireGranularity};
+use crate::config::GcsConfig;
 use crate::message::{Delivery, Dest, Service, View, ViewId};
+use crate::recovery::{self, Held, ParityShard, Recovery, Transfer};
 use crate::{ClientId, DaemonId, GroupId, MachineId};
-
-/// Maximum missing sequence numbers a daemon requests per token visit
-/// during gap recovery (Spread caps the per-visit retransmission batch
-/// so one lossy link cannot monopolise the token). Larger gaps recover
-/// over several token rotations; `WorldStats::retransmission_rounds`
-/// counts them.
-const RECOVERY_BATCH: usize = 32;
-
-/// Smoothing factor of the adaptive per-origin loss estimator (larger
-/// = more reactive); only consulted under [`GcsConfig::fec_adaptive`].
-const LOSS_EWMA_ALPHA: f64 = 0.2;
 
 /// Counters the engine accumulates across a run.
 #[derive(Clone, Debug, Default)]
 pub struct WorldStats {
     /// Agreed messages sequenced through the token ring.
     pub agreed_messages: u64,
-    /// FIFO messages sent outside the ring.
+    /// FIFO unicasts sent outside the ring.
     pub fifo_messages: u64,
     /// Completed token rotations.
     pub token_rotations: u64,
@@ -116,25 +113,14 @@ impl WorldStats {
 
 /// A sequenced Agreed message in flight between daemons.
 #[derive(Debug)]
-struct WireMsg {
-    seq: u64,
-    sender: ClientId,
-    dest: Dest,
-    view_id: ViewId,
-    payload: Bytes,
+pub(crate) struct WireMsg {
+    pub(crate) seq: u64,
+    pub(crate) sender: ClientId,
+    pub(crate) dest: Dest,
+    pub(crate) view_id: ViewId,
+    pub(crate) payload: Bytes,
     /// The daemon that sequenced the message (retransmission source).
-    origin: DaemonId,
-}
-
-/// A causally-stamped multicast in flight.
-#[derive(Clone, Debug)]
-struct CausalMsg {
-    sender: ClientId,
-    view_id: ViewId,
-    payload: Bytes,
-    /// The sender's vector clock at send time (own entry already
-    /// incremented).
-    vc: Vec<u64>,
+    pub(crate) origin: DaemonId,
 }
 
 /// A client submission waiting at its daemon for the token.
@@ -144,43 +130,6 @@ struct Submission {
     dest: Dest,
     view_id: ViewId,
     payload: Bytes,
-}
-
-/// One parity shard of a FEC-coded fan-out generation in flight
-/// between daemons (the messages a daemon sequences within one token
-/// visit form one erasure-coding generation; see [`crate::fec`]).
-#[derive(Debug)]
-struct ParityShard {
-    /// First sequence number of the generation.
-    first_seq: u64,
-    /// Number of data messages in the generation.
-    k: usize,
-    /// Global shard index within the generation (`k..k + r` for the
-    /// parity rows, as [`crate::fec::encode`] numbers them).
-    index: usize,
-    /// Coded bytes (the generation's maximum record length).
-    body: Vec<u8>,
-}
-
-/// Parity shards a daemon has buffered for one generation it has not
-/// yet fully received.
-struct FecGenBuf {
-    k: usize,
-    shards: BTreeMap<usize, Rc<ParityShard>>,
-}
-
-/// Per-daemon adaptive retransmission state (exponential backoff with
-/// jitter; only consulted when [`GcsConfig::retrans_backoff`] is
-/// nonzero).
-#[derive(Default)]
-struct RetransState {
-    /// Earliest instant the next request round may fire.
-    next_at: SimTime,
-    /// Backoff exponent: consecutive request rounds without progress.
-    level: u32,
-    /// `contiguous` as of the last request round (`None` when no round
-    /// is outstanding); progress past it resets the backoff.
-    awaiting_since: Option<u64>,
 }
 
 /// Which mechanism closed a loss-recovery window (drives the split
@@ -200,10 +149,10 @@ enum Ev {
     DaemonRecv { daemon: DaemonId, msg: Rc<WireMsg> },
     /// A client's send reaches its local daemon.
     ClientSubmit { client: ClientId, out: Outgoing },
-    /// A FIFO message reaches the destination daemon, ready for local
-    /// delivery.
+    /// A FIFO unicast reaches the daemon of its destination `client`,
+    /// ready for local delivery.
     FifoArrive {
-        daemon: DaemonId,
+        client: ClientId,
         delivery: Delivery,
     },
     /// A message is handed to a client.
@@ -226,9 +175,6 @@ enum Ev {
         daemon: DaemonId,
         shard: Rc<ParityShard>,
     },
-    /// A causal multicast arrives at a client's daemon for causal
-    /// delivery filtering.
-    CausalArrive { client: ClientId, msg: CausalMsg },
     /// The surviving daemons detect that `daemon` crashed: the ring
     /// reforms, the token regenerates, the dead machine's members are
     /// evicted via a view change.
@@ -237,8 +183,8 @@ enum Ev {
     Fault { fault: crate::fault::Fault },
 }
 
+/// One daemon; daemon `m` runs on machine `m`.
 struct DaemonState {
-    machine: MachineId,
     /// False once the daemon has crashed: it stops sequencing,
     /// delivering and forwarding the token, and the ring reforms
     /// without it after the detection timeout.
@@ -252,14 +198,16 @@ struct DaemonState {
     reported: u64,
     /// Highest seq delivered to local clients.
     delivered: u64,
-    /// Last view id this daemon has installed.
-    installed_view: ViewId,
-    /// Buffered parity shards per incomplete fan-out generation, keyed
-    /// by the generation's first sequence number. Empty whenever FEC
-    /// is disabled.
-    fec_buf: BTreeMap<u64, FecGenBuf>,
-    /// Adaptive retransmission backoff state.
-    retrans: RetransState,
+}
+
+impl DaemonState {
+    /// What this daemon holds of the sequence, as recovery sees it.
+    fn held(&self) -> Held<'_> {
+        Held {
+            contiguous: self.contiguous,
+            received: &self.received,
+        }
+    }
 }
 
 struct ClientSlot {
@@ -267,13 +215,6 @@ struct ClientSlot {
     handler: Option<Box<dyn Client>>,
     busy_until: SimTime,
     alive: bool,
-    /// Vector clock over causal messages (index = sending client).
-    vclock: Vec<u64>,
-    /// How many causal messages this client has sent (its own clock
-    /// entry advances on *delivery*, including the loop-back copy).
-    causal_sent: u64,
-    /// Causal messages awaiting their happens-before predecessors.
-    causal_buffer: Vec<CausalMsg>,
 }
 
 struct PendingChange {
@@ -315,45 +256,15 @@ pub struct SimWorld {
     /// Non-token events in flight (quiescence detection).
     outstanding: u64,
     stats: WorldStats,
-    token_started: bool,
     /// Every sequenced message (the origin daemons' retransmission
     /// buffers, kept globally for simulation convenience).
     sent_msgs: BTreeMap<u64, Rc<WireMsg>>,
-    /// Deterministic loss process.
-    loss_rng: SplitMix64,
-    /// Separate deterministic stream for retransmission-backoff jitter
-    /// (its own stream so enabling backoff never perturbs the loss
-    /// draws).
-    retrans_rng: SplitMix64,
-    /// Sticky flag: set the first time any data copy is lost, and the
-    /// arming condition for gap-retransmission requests. A token-visit
-    /// gap with no loss ever observed is merely in-flight traffic and
-    /// must not trigger spurious requests; a gap after a loss burst
-    /// has *ended* must still be recovered.
-    losses_observed: bool,
-    /// Per-origin EWMA loss estimates over the gaps each daemon
-    /// observes at its token visits (updated only when
-    /// [`GcsConfig::fec_adaptive`] is set). The adaptive parity budget
-    /// follows the *worst* estimate among live daemons: parity fans
-    /// out to every peer, so one lossy link must raise the budget even
-    /// when seven clean peers observe nothing (a single global scalar
-    /// diluted that signal 8×).
-    loss_ewma: BTreeMap<DaemonId, f64>,
-    /// Gilbert–Elliott burst chain (populated iff
-    /// [`GcsConfig::gilbert`] is set).
-    ge_chain: Option<crate::loss::GeChain>,
-    /// Loss instants of copies not yet recovered, keyed by
-    /// `(destination daemon, seq)`. First loss wins (a re-lost
-    /// retransmission keeps the original instant); the entry is
-    /// removed — and the elapsed window attributed to FEC repair or
-    /// retransmission — when the daemon finally obtains the message.
-    lost_at: BTreeMap<(DaemonId, u64), SimTime>,
+    /// The loss process and every loss-recovery mechanism.
+    recovery: Recovery,
     /// Token generation: bumped on every ring reformation so tokens
     /// already in flight at crash detection are invalidated (exactly
     /// one token survives a reformation).
     token_gen: u64,
-    /// Temporary loss-rate override from a fault plan: `(rate, until)`.
-    loss_burst: Option<(f64, SimTime)>,
     /// Virtual instant of the previous completed token rotation, for
     /// the rotation-interval histogram.
     last_rotation_at: Option<SimTime>,
@@ -390,17 +301,13 @@ impl SimWorld {
         cfg.validate();
         let machine_count = cfg.topology.machine_count();
         let daemons = (0..machine_count)
-            .map(|m| DaemonState {
-                machine: m,
+            .map(|_| DaemonState {
                 alive: true,
                 pending: VecDeque::new(),
                 received: BTreeMap::new(),
                 contiguous: 0,
                 reported: 0,
                 delivered: 0,
-                installed_view: 0,
-                fec_buf: BTreeMap::new(),
-                retrans: RetransState::default(),
             })
             .collect();
         let machines = (0..machine_count)
@@ -421,20 +328,11 @@ impl SimWorld {
             active: None,
             outstanding: 0,
             stats: WorldStats::default(),
-            token_started: false,
             sent_msgs: BTreeMap::new(),
-            loss_rng: SplitMix64::new(cfg.loss_seed),
-            // Golden-ratio tweak: a fixed, documented offset giving the
-            // jitter stream its own deterministic seed.
-            retrans_rng: SplitMix64::new(cfg.loss_seed ^ 0x9E37_79B9_7F4A_7C15),
-            losses_observed: false,
-            loss_ewma: BTreeMap::new(),
-            ge_chain: cfg.gilbert.as_ref().map(crate::loss::GeChain::new),
-            lost_at: BTreeMap::new(),
+            recovery: Recovery::new(&cfg, machine_count),
             token_gen: 0,
             last_rotation_at: None,
             idle_fast_forward: true,
-            loss_burst: None,
             telemetry: Telemetry::disabled(),
             cfg,
         }
@@ -481,9 +379,6 @@ impl SimWorld {
             handler: Some(handler),
             busy_until: SimTime::ZERO,
             alive: true,
-            vclock: Vec::new(),
-            causal_sent: 0,
-            causal_buffer: Vec::new(),
         });
         id
     }
@@ -532,7 +427,14 @@ impl SimWorld {
                 },
             );
         }
-        self.start_token_if_needed();
+        let gen = self.token_gen;
+        self.queue.schedule(
+            Duration::ZERO,
+            Ev::Token {
+                daemon: self.ring[0],
+                gen,
+            },
+        );
     }
 
     /// Injects a membership change: `joined` clients enter the view,
@@ -638,16 +540,12 @@ impl SimWorld {
         );
         self.daemons[daemon].alive = false;
         self.daemons[daemon].pending.clear();
-        self.daemons[daemon].fec_buf.clear();
-        // Loss-recovery windows owed to the dead daemon will never
-        // close; only completed recoveries are attributed.
-        self.lost_at.retain(|&(d, _), _| d != daemon);
+        self.recovery.on_crash(daemon);
         self.stats.daemon_crashes += 1;
         self.record_fault(Actor::Daemon(daemon), "crash", daemon);
         // The machine died: its client processes die with it.
-        let machine = self.daemons[daemon].machine;
         for c in 0..self.clients.len() {
-            if self.clients[c].machine == machine {
+            if self.clients[c].machine == daemon {
                 self.clients[c].alive = false;
             }
         }
@@ -677,7 +575,7 @@ impl SimWorld {
             "burst loss rate must be in [0, 1]"
         );
         let until = self.queue.now() + duration;
-        self.loss_burst = Some((rate, until));
+        self.recovery.set_loss_burst(rate, until);
         self.record_fault(Actor::World, "loss_burst", (rate * 100.0) as usize);
     }
 
@@ -876,17 +774,13 @@ impl SimWorld {
     /// which are replayed analytically; the token event is moved
     /// forward by a whole number of periods so the stepped tail
     /// reproduces the exact event instants of a fully stepped run.
-    ///
-    /// One more effect exists under [`GcsConfig::fec_adaptive`]: each
-    /// idle visit decays the visiting daemon's loss estimate, which
-    /// sets the next generation's parity budget. An all-zero estimate
-    /// map decays to itself, so only then is the skip exact; any
-    /// non-zero estimate keeps the stretch stepped.
+    /// Recovery must agree that an idle visit is a no-op (under
+    /// adaptive parity it decays a loss estimate).
     fn try_fast_forward_idle(&mut self, t: SimTime) {
-        if !self.idle_fast_forward || self.telemetry.is_enabled() {
-            return;
-        }
-        if self.cfg.fec_adaptive && self.loss_ewma.values().any(|&e| e != 0.0) {
+        if !self.idle_fast_forward
+            || self.telemetry.is_enabled()
+            || !self.recovery.idle_visit_is_noop()
+        {
             return;
         }
         if self.queue.len() != 1 || !self.quiescent() {
@@ -922,10 +816,7 @@ impl SimWorld {
         for i in 0..n {
             let p = self.ring[(pos0 + i) % n];
             let q = self.ring[(pos0 + i + 1) % n];
-            let hop = self
-                .cfg
-                .topology
-                .machine_latency(self.daemons[p].machine, self.daemons[q].machine);
+            let hop = self.cfg.topology.machine_latency(p, q);
             period = period + hop + self.cfg.token_processing;
             if (pos0 + i + 1) % n == 0 && pos0 != 0 {
                 offset = period;
@@ -967,13 +858,16 @@ impl SimWorld {
     /// are excluded: they will never deliver again, and the reformed
     /// ring no longer waits on them.
     pub fn quiescent(&self) -> bool {
-        self.outstanding == 0
-            && !self.membership_busy()
-            && self
-                .daemons
-                .iter()
-                .filter(|d| d.alive)
-                .all(|d| d.pending.is_empty() && d.delivered == self.next_seq - 1)
+        self.outstanding == 0 && !self.membership_busy() && self.daemons_drained()
+    }
+
+    /// `true` when every alive daemon has sequenced its submissions and
+    /// delivered every sequenced message.
+    fn daemons_drained(&self) -> bool {
+        self.daemons
+            .iter()
+            .filter(|d| d.alive)
+            .all(|d| d.pending.is_empty() && d.delivered == self.next_seq - 1)
     }
 
     // ------------------------------------------------------------------
@@ -996,20 +890,6 @@ impl SimWorld {
             self.outstanding += 1;
         }
         self.queue.schedule(delay, ev);
-    }
-
-    fn start_token_if_needed(&mut self) {
-        if !self.token_started {
-            self.token_started = true;
-            let gen = self.token_gen;
-            self.queue.schedule(
-                Duration::ZERO,
-                Ev::Token {
-                    daemon: self.ring[0],
-                    gen,
-                },
-            );
-        }
     }
 
     fn adopt_view(&mut self, view: &Rc<View>) {
@@ -1064,7 +944,6 @@ impl SimWorld {
             Ev::ViewDeliver { .. } => "ev_view_deliver",
             Ev::Retransmit { .. } => "ev_retransmit",
             Ev::ParityRecv { .. } => "ev_parity_recv",
-            Ev::CausalArrive { .. } => "ev_causal_arrive",
             Ev::CrashDetect { .. } => "ev_crash_detect",
             Ev::Fault { .. } => "ev_fault",
         }
@@ -1086,12 +965,11 @@ impl SimWorld {
             Ev::Token { daemon, gen } => self.on_token(daemon, gen),
             Ev::DaemonRecv { daemon, msg } => self.on_daemon_recv(daemon, msg),
             Ev::ClientSubmit { client, out } => self.on_client_submit(client, out),
-            Ev::FifoArrive { daemon, delivery } => self.on_fifo_arrive(daemon, delivery),
+            Ev::FifoArrive { client, delivery } => self.on_fifo_arrive(client, delivery),
             Ev::ClientDeliver { client, delivery } => self.deliver_to_client(client, delivery),
             Ev::ViewDeliver { client, view } => self.deliver_view_to_client(client, &view),
             Ev::Retransmit { seq, to, from } => self.on_retransmit(seq, to, from),
             Ev::ParityRecv { daemon, shard } => self.on_parity_recv(daemon, shard),
-            Ev::CausalArrive { client, msg } => self.on_causal_arrive(client, msg),
             Ev::CrashDetect { daemon } => self.on_crash_detect(daemon),
             Ev::Fault { fault } => self.on_fault(fault),
         }
@@ -1115,11 +993,10 @@ impl SimWorld {
         // membership waiting only on it completes now.
         self.check_membership_complete();
         // Its members leave via a view change (if a view exists yet).
-        let machine = self.daemons[daemon].machine;
         let lost: Vec<ClientId> = self
             .projected_members()
             .into_iter()
-            .filter(|&c| self.clients[c].machine == machine)
+            .filter(|&c| self.clients[c].machine == daemon)
             .collect();
         if !lost.is_empty() {
             self.inject_change(vec![], lost);
@@ -1195,12 +1072,7 @@ impl SimWorld {
             // Without this, a message of epoch E could arrive after a
             // member entered epoch E+1 and be discarded — breaking
             // cascaded membership changes.
-            let flushed = self.outstanding == 0
-                && self
-                    .daemons
-                    .iter()
-                    .filter(|d| d.alive)
-                    .all(|d| d.pending.is_empty() && d.delivered == self.next_seq - 1);
+            let flushed = self.outstanding == 0 && self.daemons_drained();
             // The membership protocol's rounds are token rotations:
             // each ring-head pass advances it by one.
             if let Some(active) = &mut self.active {
@@ -1246,29 +1118,10 @@ impl SimWorld {
             self.sent_msgs.insert(seq, Rc::clone(&msg));
             // The sender's daemon holds its own message instantly.
             self.store_at_daemon(daemon_id, Rc::clone(&msg));
-            let size_cost = self.wire_cost(msg.payload.len());
             for peer in 0..self.daemons.len() {
-                if peer == daemon_id || !self.daemons[peer].alive {
-                    continue;
+                if peer != daemon_id && self.daemons[peer].alive {
+                    self.send_copy(daemon_id, peer, Transfer::Data(Rc::clone(&msg)));
                 }
-                if self.lose_copy() {
-                    self.stats.messages_lost += 1;
-                    self.losses_observed = true;
-                    self.lost_at.entry((peer, seq)).or_insert(at);
-                    continue;
-                }
-                let latency = self
-                    .cfg
-                    .topology
-                    .machine_latency(self.daemons[daemon_id].machine, self.daemons[peer].machine);
-                let delay = latency + size_cost + self.cfg.per_message_processing;
-                self.schedule(
-                    delay,
-                    Ev::DaemonRecv {
-                        daemon: peer,
-                        msg: Rc::clone(&msg),
-                    },
-                );
             }
             generation.push(msg);
             sent += 1;
@@ -1281,9 +1134,12 @@ impl SimWorld {
         //     budget 0 (no extra RNG draws, no extra events — the
         //     `r = 0` engine is byte-identical to the pre-FEC one).
         if !generation.is_empty() {
-            let r = self.parity_budget(generation.len());
-            if r > 0 {
-                self.fan_out_parity(daemon_id, &generation, r);
+            let daemons = &self.daemons;
+            let r = self
+                .recovery
+                .parity_budget(generation.len(), |d| daemons[d].alive);
+            for shard in recovery::parity_shards(&generation, r) {
+                self.fan_out_parity(daemon_id, &shard);
             }
         }
         // Flow-control metrics: how much this token visit sequenced,
@@ -1305,18 +1161,15 @@ impl SimWorld {
 
         // 1b. Request retransmission of any gap this daemon observes
         //     (the token reveals that higher sequence numbers exist —
-        //     Totem-style negative acknowledgement). Armed only once a
-        //     data copy has actually been dropped (sticky
-        //     `losses_observed`) or a crash may have eaten copies —
-        //     never by the mere *possibility* of loss, so runs where
-        //     every copy happens to arrive issue no spurious requests
-        //     for messages that are merely in flight.
-        if self.cfg.fec_adaptive {
-            self.update_loss_ewma(daemon_id);
-        }
-        let lossy = self.losses_observed || self.stats.daemon_crashes > 0;
-        if lossy && self.daemons[daemon_id].contiguous < self.next_seq - 1 {
-            self.maybe_request_missing(daemon_id);
+        //     Totem-style negative acknowledgement), when recovery's
+        //     request policy says so.
+        let now = self.queue.now();
+        let held = self.daemons[daemon_id].held();
+        if self
+            .recovery
+            .visit_requests(daemon_id, now, &held, self.next_seq)
+        {
+            self.request_missing(daemon_id);
         }
 
         // 2. Report our contiguous mark and recompute the aru (the
@@ -1345,10 +1198,7 @@ impl SimWorld {
             return;
         };
         let next = self.ring[(pos + 1) % self.ring.len()];
-        let hop = self
-            .cfg
-            .topology
-            .machine_latency(self.daemons[daemon_id].machine, self.daemons[next].machine);
+        let hop = self.cfg.topology.machine_latency(daemon_id, next);
         let hold = self.cfg.token_processing + self.cfg.per_message_processing * sent as u64;
         self.queue
             .schedule(hop + hold, Ev::Token { daemon: next, gen });
@@ -1370,40 +1220,28 @@ impl SimWorld {
         }
     }
 
-    /// The loss probability in force at instant `now`.
-    ///
-    /// Three processes combine via `max`: the Bernoulli base rate, the
-    /// Gilbert–Elliott chain's per-state rate (when configured), and a
-    /// fault-plan burst while its half-open window
-    /// `[start, start + duration)` lasts — at the exact expiry instant
-    /// the burst no longer applies. An expired burst is cleared here
-    /// (lazily, on the first draw at or past its boundary) so
-    /// `loss_burst` never reports a stale window. The chain advances
-    /// on its own RNG stream, so configuring it never perturbs the
-    /// per-copy loss draws.
-    fn effective_loss_rate_at(&mut self, now: SimTime) -> f64 {
-        let mut rate = self.cfg.loss_rate;
-        if let Some(ge) = &mut self.ge_chain {
-            rate = rate.max(ge.rate_at(now));
-        }
-        match self.loss_burst {
-            Some((burst, until)) if now < until => rate.max(burst),
-            Some(_) => {
-                self.loss_burst = None;
-                rate
+    /// Sends one daemon-to-daemon copy. Recovery draws whether it is
+    /// lost; a surviving copy arrives after the hop latency, its wire
+    /// time and the receiver's per-message processing. Lost data and
+    /// re-sent copies count in [`WorldStats::messages_lost`]; a lost
+    /// parity shard is simply gone.
+    fn send_copy(&mut self, from: DaemonId, to: DaemonId, copy: Transfer) {
+        if self.recovery.copy_lost(self.queue.now(), to, &copy) {
+            if !matches!(copy, Transfer::Parity(_)) {
+                self.stats.messages_lost += 1;
             }
-            None => rate,
+            return;
         }
-    }
-
-    /// Deterministic Bernoulli draw for one message copy.
-    fn lose_copy(&mut self) -> bool {
-        let rate = self.effective_loss_rate_at(self.queue.now());
-        if rate <= 0.0 {
-            return false;
-        }
-        let x = (self.loss_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        x < rate
+        let (len, ev) = match copy {
+            Transfer::Data(msg) | Transfer::Resend(msg) => {
+                (msg.payload.len(), Ev::DaemonRecv { daemon: to, msg })
+            }
+            Transfer::Parity(shard) => (shard.body.len(), Ev::ParityRecv { daemon: to, shard }),
+        };
+        let delay = self.cfg.topology.machine_latency(from, to)
+            + self.recovery.wire_cost(len)
+            + self.cfg.per_message_processing;
+        self.schedule(delay, ev);
     }
 
     /// An alive daemon able to re-send `seq` to `requester`: the origin
@@ -1420,20 +1258,16 @@ impl SimWorld {
             .find(|&d| d != requester && self.daemons[d].alive)
     }
 
-    /// Ask retransmission sources to re-send up to [`RECOVERY_BATCH`]
+    /// Ask retransmission sources to re-send one request batch of the
     /// messages this daemon is missing below the global high-water
     /// mark. Wider gaps recover over several token visits; each visit
     /// that issues at least one request counts as one retransmission
     /// round.
     fn request_missing(&mut self, daemon: DaemonId) {
-        let have_upto = self.daemons[daemon].contiguous;
-        let missing: Vec<u64> = ((have_upto + 1)..self.next_seq)
-            .filter(|seq| !self.daemons[daemon].received.contains_key(seq))
-            .take(RECOVERY_BATCH)
-            .collect();
+        let missing = self.daemons[daemon].held().request_batch(self.next_seq);
         let mut requested = 0u64;
         for seq in missing {
-            let Some(msg) = self.sent_msgs.get(&seq) else {
+            let Some(msg) = self.sent_msgs.get(&seq).map(Rc::clone) else {
                 continue;
             };
             if msg.origin == daemon {
@@ -1445,19 +1279,13 @@ impl SimWorld {
                 // real deployment the reformation would drop the
                 // message from the order; the simulation keeps the
                 // order intact for determinism).
-                let Some(msg) = self.sent_msgs.get(&seq).map(Rc::clone) else {
-                    continue;
-                };
                 self.settle_recovery(daemon, seq, RecoveryPath::Retransmission);
                 self.store_at_daemon(daemon, msg);
                 requested += 1;
                 continue;
             };
             // Request travels to the source; it re-sends from there.
-            let latency = self
-                .cfg
-                .topology
-                .machine_latency(self.daemons[daemon].machine, self.daemons[source].machine);
+            let latency = self.cfg.topology.machine_latency(daemon, source);
             self.schedule(
                 latency + self.cfg.per_message_processing,
                 Ev::Retransmit {
@@ -1495,48 +1323,9 @@ impl SimWorld {
             kind: EventKind::Retransmit { seq },
         });
         // The re-sent copy can be lost as well; the next token visit
-        // re-requests it. The original `lost_at` instant stays: the
-        // recovery window runs from the *first* loss of the copy.
-        if self.lose_copy() {
-            self.stats.messages_lost += 1;
-            self.losses_observed = true;
-            return;
-        }
-        let latency = self
-            .cfg
-            .topology
-            .machine_latency(self.daemons[from].machine, self.daemons[to].machine);
-        let size_cost = self.wire_cost(msg.payload.len());
-        self.schedule(
-            latency + size_cost + self.cfg.per_message_processing,
-            Ev::DaemonRecv { daemon: to, msg },
-        );
-    }
-
-    /// Wire time for `len` bytes of payload on any hop. Shared by
-    /// data, parity and FIFO paths so coded and plain traffic are
-    /// charged identically. At the default
-    /// [`WireGranularity::WholeKb`] every payload rounds up to a whole
-    /// kilobyte (the historical model, pinned by the engine goldens);
-    /// [`WireGranularity::Byte`] charges `per_kb · len / 1024` rounded
-    /// up to a nanosecond, so a 40-byte parity shard costs ~4% of a
-    /// 1 KB data message instead of 100%.
-    fn wire_cost(&self, len: usize) -> Duration {
-        match self.cfg.wire_granularity {
-            WireGranularity::WholeKb => {
-                let kb = (len as u64).div_ceil(1024);
-                self.cfg.per_kb * kb
-            }
-            WireGranularity::Byte => {
-                let ns = self
-                    .cfg
-                    .per_kb
-                    .as_nanos()
-                    .saturating_mul(len as u64)
-                    .div_ceil(1024);
-                Duration::from_nanos(ns)
-            }
-        }
+        // re-requests it. The recovery window keeps running from the
+        // *first* loss of the copy.
+        self.send_copy(from, to, Transfer::Resend(msg));
     }
 
     /// Closes the open loss-recovery window of `(daemon, seq)` — if
@@ -1545,10 +1334,9 @@ impl SimWorld {
     /// two attribution buckets sum exactly to the total recovery time
     /// ([`WorldStats::recovery_ns`]).
     fn settle_recovery(&mut self, daemon: DaemonId, seq: u64, path: RecoveryPath) {
-        let Some(t0) = self.lost_at.remove(&(daemon, seq)) else {
+        let Some(dt) = self.recovery.settle(daemon, seq, self.queue.now()) else {
             return;
         };
-        let dt = self.queue.now().since(t0);
         match path {
             RecoveryPath::FecRepair => {
                 self.stats.fec_repair_recovery_ns += dt.as_nanos();
@@ -1565,287 +1353,49 @@ impl SimWorld {
         }
     }
 
-    /// Parity shards to append to a generation of `k` data messages:
-    /// the configured floor, or — under the adaptive controller — the
-    /// worst per-origin EWMA loss estimate among live daemons, scaled
-    /// to the expected losses per generation (doubled for headroom)
-    /// and clamped to `[fec_parity, fec_parity_max]`. The worst origin
-    /// governs because parity fans out to every peer: covering the
-    /// lossiest link covers them all. Always capped so `k + r` fits
-    /// the code's field.
-    fn parity_budget(&self, k: usize) -> usize {
-        let r = if self.cfg.fec_adaptive {
-            let worst = self
-                .loss_ewma
-                .iter()
-                .filter(|(d, _)| self.daemons[**d].alive)
-                .map(|(_, e)| *e)
-                .fold(0.0_f64, f64::max);
-            let want = (worst * 2.0 * k as f64).ceil() as usize;
-            // `validate()` guarantees floor <= ceiling; `max` keeps the
-            // clamp well-ordered even against a hand-mutated config.
-            want.clamp(
-                self.cfg.fec_parity,
-                self.cfg.fec_parity_max.max(self.cfg.fec_parity),
-            )
-        } else {
-            self.cfg.fec_parity
-        };
-        r.min(crate::fec::MAX_SHARDS.saturating_sub(k))
-    }
-
-    /// Encodes this token visit's generation and broadcasts its `r`
-    /// parity shards to every other alive daemon. Parity copies ride
-    /// the same loss process as data copies, but a lost parity shard
-    /// is simply gone: parity is never retransmitted and never opens a
-    /// recovery window (the data it protects still recovers via
-    /// retransmission).
-    fn fan_out_parity(&mut self, origin: DaemonId, generation: &[Rc<WireMsg>], r: usize) {
-        let records: Vec<Vec<u8>> = generation.iter().map(|m| encode_record(m)).collect();
-        let Some(parity) = crate::fec::encode(&records, r) else {
-            return;
-        };
-        let k = generation.len();
-        let Some(first_seq) = generation.first().map(|m| m.seq) else {
-            return;
-        };
-        for (j, body) in parity.into_iter().enumerate() {
-            let shard = Rc::new(ParityShard {
-                first_seq,
-                k,
-                index: k + j,
-                body,
-            });
-            let size_cost = self.wire_cost(shard.body.len());
-            for peer in 0..self.daemons.len() {
-                if peer == origin || !self.daemons[peer].alive {
-                    continue;
-                }
-                self.stats.parity_shards_sent += 1;
-                self.stats.parity_bytes_sent += shard.body.len() as u64;
-                self.telemetry.metric_inc(
-                    Key::new(Layer::Gcs, "parity_bytes_sent"),
-                    shard.body.len() as u64,
-                );
-                if self.lose_copy() {
-                    continue;
-                }
-                let latency = self
-                    .cfg
-                    .topology
-                    .machine_latency(self.daemons[origin].machine, self.daemons[peer].machine);
-                self.schedule(
-                    latency + size_cost + self.cfg.per_message_processing,
-                    Ev::ParityRecv {
-                        daemon: peer,
-                        shard: Rc::clone(&shard),
-                    },
-                );
+    /// Broadcasts one parity shard of this token visit's generation to
+    /// every other alive daemon. Parity copies ride the same loss
+    /// process as data copies and count as sent whether or not they
+    /// survive it.
+    fn fan_out_parity(&mut self, origin: DaemonId, shard: &Rc<ParityShard>) {
+        let len = shard.body.len() as u64;
+        for peer in 0..self.daemons.len() {
+            if peer == origin || !self.daemons[peer].alive {
+                continue;
             }
+            self.stats.parity_shards_sent += 1;
+            self.stats.parity_bytes_sent += len;
+            self.telemetry
+                .metric_inc(Key::new(Layer::Gcs, "parity_bytes_sent"), len);
+            self.send_copy(origin, peer, Transfer::Parity(Rc::clone(shard)));
         }
-    }
-
-    /// Folds the gap this daemon observes at a token visit into *its
-    /// own* EWMA loss estimate (the adaptive parity budget follows the
-    /// worst estimate; see [`SimWorld::parity_budget`]). The per-visit
-    /// sample is the missing fraction of the sequence span the token
-    /// proves to exist (zero over an empty span). In-flight messages
-    /// count as missing, which makes the estimator conservative — it
-    /// over-provisions parity rather than under.
-    ///
-    /// With [`GcsConfig::fec_fast_attack`] set, a sample that *raises*
-    /// the estimate replaces it outright instead of blending: the very
-    /// first token visit inside a burst pushes the estimate to the
-    /// observed loss fraction, so the parity budget reacts within one
-    /// rotation. Decay back down still follows the EWMA, keeping
-    /// parity raised across the quiet gaps inside a burst.
-    fn update_loss_ewma(&mut self, daemon: DaemonId) {
-        let d = &self.daemons[daemon];
-        let span = (self.next_seq - 1).saturating_sub(d.contiguous);
-        let sample = if span == 0 {
-            0.0
-        } else {
-            let missing = ((d.contiguous + 1)..self.next_seq)
-                .filter(|s| !d.received.contains_key(s))
-                .count();
-            missing as f64 / span as f64
-        };
-        let a = LOSS_EWMA_ALPHA;
-        let prev = self.loss_ewma.get(&daemon).copied().unwrap_or(0.0);
-        let blended = a * sample + (1.0 - a) * prev;
-        let next = if self.cfg.fec_fast_attack {
-            blended.max(sample)
-        } else {
-            blended
-        };
-        self.loss_ewma.insert(daemon, next);
-    }
-
-    /// Applies the adaptive backoff policy in front of
-    /// [`SimWorld::request_missing`]. With a zero backoff base the
-    /// legacy policy holds — a daemon with a gap requests on every
-    /// token visit — and this function adds no RNG draws or state
-    /// changes, keeping the engine byte-identical to the pre-backoff
-    /// one.
-    ///
-    /// With a non-zero base a *fresh* gap first arms one backoff
-    /// window without requesting: in-flight parity shards (or late
-    /// copies) get that window to close the gap locally, so a run
-    /// whose parity budget covers its losses spends **zero** request
-    /// rounds. Only a gap that survives the window costs a round, and
-    /// every further no-progress round doubles the window (capped).
-    fn maybe_request_missing(&mut self, daemon: DaemonId) {
-        if self.cfg.retrans_backoff == Duration::ZERO {
-            self.request_missing(daemon);
-            return;
-        }
-        let now = self.queue.now();
-        let contiguous = self.daemons[daemon].contiguous;
-        if let Some(prev) = self.daemons[daemon].retrans.awaiting_since {
-            if contiguous > prev {
-                // Progress since the last arm/request: that episode is
-                // over. The still-open gap (residual or newly lost) is
-                // a fresh episode and re-arms below.
-                let st = &mut self.daemons[daemon].retrans;
-                st.level = 0;
-                st.awaiting_since = None;
-            }
-        }
-        if self.daemons[daemon].retrans.awaiting_since.is_none() {
-            // Fresh gap: arm the window, don't spend a round yet.
-            let delay = self.jittered_backoff(0);
-            let st = &mut self.daemons[daemon].retrans;
-            st.awaiting_since = Some(contiguous);
-            st.next_at = now + delay;
-            return;
-        }
-        if now < self.daemons[daemon].retrans.next_at {
-            return;
-        }
-        // A full window elapsed with no progress: spend a round.
-        let level = (self.daemons[daemon].retrans.level + 1).min(16);
-        self.daemons[daemon].retrans.level = level;
-        self.request_missing(daemon);
-        let delay = self.jittered_backoff(level);
-        let st = &mut self.daemons[daemon].retrans;
-        st.awaiting_since = Some(contiguous);
-        st.next_at = now + delay;
-    }
-
-    /// One backoff window at the given exponential level: the full
-    /// window is `base << level` capped at the configured maximum,
-    /// then deterministic jitter into `[full/2, full]` from the
-    /// dedicated stream (decorrelates the ring's request rounds
-    /// without touching the loss draws).
-    fn jittered_backoff(&mut self, level: u32) -> Duration {
-        let full = self
-            .cfg
-            .retrans_backoff
-            .as_nanos()
-            .saturating_mul(1u64 << level.min(63))
-            .min(self.cfg.retrans_backoff_max.as_nanos())
-            .max(1);
-        let u = (self.retrans_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let half = full / 2;
-        Duration::from_nanos(half + ((full - half) as f64 * u) as u64)
     }
 
     fn on_parity_recv(&mut self, daemon: DaemonId, shard: Rc<ParityShard>) {
         if !self.daemons[daemon].alive {
             return; // the shard arrived at a crashed daemon
         }
-        let first = shard.first_seq;
-        let k = shard.k;
-        let complete = {
-            let d = &self.daemons[daemon];
-            (first..first + k as u64).all(|s| s <= d.contiguous || d.received.contains_key(&s))
-        };
-        if complete {
-            return; // nothing to repair; drop the shard
-        }
-        self.daemons[daemon]
-            .fec_buf
-            .entry(first)
-            .or_insert_with(|| FecGenBuf {
-                k,
-                shards: BTreeMap::new(),
-            })
-            .shards
-            .insert(shard.index, shard);
-        self.try_fec_repair(daemon, first);
+        let held = self.daemons[daemon].held();
+        let repaired = self
+            .recovery
+            .parity_arrived(daemon, shard, &held, &self.sent_msgs);
+        self.store_repaired(daemon, repaired);
     }
 
-    /// Attempts to decode generation `first` at `daemon` from the data
-    /// messages it holds plus its buffered parity shards. On success
-    /// every missing message of the generation is reconstructed
-    /// locally, its recovery window attributed to FEC repair, and the
-    /// buffer entry dropped.
-    fn try_fec_repair(&mut self, daemon: DaemonId, first: u64) {
-        let repaired: Vec<(u64, WireMsg)> = {
-            let d = &self.daemons[daemon];
-            let Some(buf) = d.fec_buf.get(&first) else {
-                return;
-            };
-            let k = buf.k;
-            let held = |s: u64| s <= d.contiguous || d.received.contains_key(&s);
-            let missing: Vec<u64> = (first..first + k as u64).filter(|&s| !held(s)).collect();
-            if missing.is_empty() {
-                Vec::new() // generation complete: drop the buffer below
-            } else if buf.shards.len() < missing.len() {
-                return; // not yet decodable; keep buffering
-            } else {
-                // Re-serialize the data records the daemon holds (their
-                // content is identical to the origin's encoding input),
-                // pad to the generation's record length, add the parity
-                // rows, and interpolate the missing points.
-                let body_len = buf.shards.values().map(|s| s.body.len()).max().unwrap_or(0);
-                let mut have: Vec<(usize, Vec<u8>)> = Vec::new();
-                for (i, s) in (first..first + k as u64).enumerate() {
-                    if !held(s) {
-                        continue;
-                    }
-                    let Some(msg) = self.sent_msgs.get(&s) else {
-                        continue;
-                    };
-                    let mut rec = encode_record(msg);
-                    if rec.len() < body_len {
-                        rec.resize(body_len, 0);
-                    }
-                    have.push((i, rec));
-                }
-                for (&idx, shard) in &buf.shards {
-                    have.push((idx, shard.body.clone()));
-                }
-                let refs: Vec<(usize, &[u8])> =
-                    have.iter().map(|(i, b)| (*i, b.as_slice())).collect();
-                let Some(data) = crate::fec::decode(k, &refs) else {
-                    return;
-                };
-                let mut out = Vec::new();
-                for &s in &missing {
-                    let idx = (s - first) as usize;
-                    let Some(msg) = decode_record(&data[idx]) else {
-                        return; // malformed record: leave the buffer for retransmission
-                    };
-                    if msg.seq != s {
-                        return;
-                    }
-                    out.push((s, msg));
-                }
-                out
-            }
-        };
-        self.daemons[daemon].fec_buf.remove(&first);
+    /// Stores the messages FEC rebuilt at `daemon`, attributing each
+    /// one's recovery window to FEC repair.
+    fn store_repaired(&mut self, daemon: DaemonId, repaired: Vec<WireMsg>) {
         let at = self.queue.now();
-        for (s, msg) in repaired {
+        for msg in repaired {
             self.stats.fec_repairs += 1;
+            let seq = msg.seq;
             self.telemetry.record(|| Event {
                 at,
                 dur: Duration::ZERO,
                 actor: Actor::Daemon(daemon),
-                kind: EventKind::FecRepair { seq: s },
+                kind: EventKind::FecRepair { seq },
             });
-            self.settle_recovery(daemon, s, RecoveryPath::FecRepair);
+            self.settle_recovery(daemon, seq, RecoveryPath::FecRepair);
             self.store_at_daemon(daemon, Rc::new(msg));
         }
     }
@@ -1871,16 +1421,11 @@ impl SimWorld {
         // A late-arriving data copy can complete a generation that
         // already buffered parity: re-try the repair so the buffer
         // drains as soon as it becomes decodable.
-        if !self.daemons[daemon].fec_buf.is_empty() {
-            let generation = self.daemons[daemon]
-                .fec_buf
-                .iter()
-                .find(|(&first, buf)| first <= seq && seq < first + buf.k as u64)
-                .map(|(&first, _)| first);
-            if let Some(first) = generation {
-                self.try_fec_repair(daemon, first);
-            }
-        }
+        let held = self.daemons[daemon].held();
+        let repaired = self
+            .recovery
+            .copy_arrived(daemon, seq, &held, &self.sent_msgs);
+        self.store_repaired(daemon, repaired);
     }
 
     /// Delivers every received message with `seq <= token_aru` to this
@@ -1902,10 +1447,9 @@ impl SimWorld {
             return;
         };
         let members = view.members.clone();
-        let machine = self.daemons[daemon].machine;
         let targets: Vec<ClientId> = members
             .into_iter()
-            .filter(|&c| self.clients[c].machine == machine && self.clients[c].alive)
+            .filter(|&c| self.clients[c].machine == daemon && self.clients[c].alive)
             .filter(|&c| match msg.dest {
                 Dest::All => true,
                 Dest::One(t) => t == c,
@@ -1948,54 +1492,18 @@ impl SimWorld {
                     payload: out.payload,
                 });
             }
-            Service::Causal => {
-                self.stats.fifo_messages += 1;
-                // Stamp with the sender's vector clock; the own entry
-                // carries the per-sender send sequence (the clock
-                // itself advances when the loop-back copy delivers).
-                self.grow_vclock(client);
-                let seq = self.clients[client].causal_sent + 1;
-                self.clients[client].causal_sent = seq;
-                let mut vc = self.clients[client].vclock.clone();
-                vc[client] = seq;
-                let msg = CausalMsg {
-                    sender: client,
-                    view_id,
-                    payload: out.payload,
-                    vc,
-                };
-                let size_cost = self.wire_cost(msg.payload.len());
-                let members = self
-                    .view_history
-                    .get(&view_id)
-                    .map(|v| v.members.clone())
-                    .unwrap_or_default();
-                for target in members {
-                    if target == client {
-                        // Local delivery is immediate (own messages are
-                        // already in causal order).
-                        self.on_causal_arrive(client, msg.clone());
-                        continue;
-                    }
-                    let latency = self
-                        .cfg
-                        .topology
-                        .machine_latency(machine, self.clients[target].machine)
-                        + size_cost
-                        + self.cfg.per_message_processing
-                        + self.cfg.client_daemon_delay;
-                    self.schedule(
-                        latency,
-                        Ev::CausalArrive {
-                            client: target,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-            }
             Service::Fifo => {
+                // FIFO is unicast only: `unicast_fifo` is its one sender.
+                let Dest::One(target) = out.dest else {
+                    return;
+                };
                 self.stats.fifo_messages += 1;
-                let size_cost = self.wire_cost(out.payload.len());
+                let latency = self
+                    .cfg
+                    .topology
+                    .machine_latency(machine, self.clients[target].machine)
+                    + self.recovery.wire_cost(out.payload.len())
+                    + self.cfg.per_message_processing;
                 let delivery = Delivery {
                     sender: client,
                     service: Service::Fifo,
@@ -2003,65 +1511,27 @@ impl SimWorld {
                     view_id,
                     payload: out.payload,
                 };
-                match out.dest {
-                    Dest::One(target) => {
-                        let td = self.clients[target].machine;
-                        let latency = self.cfg.topology.machine_latency(machine, td)
-                            + size_cost
-                            + self.cfg.per_message_processing;
-                        self.schedule(
-                            latency,
-                            Ev::FifoArrive {
-                                daemon: td,
-                                delivery,
-                            },
-                        );
-                    }
-                    Dest::All => {
-                        for td in 0..self.daemons.len() {
-                            let latency = self.cfg.topology.machine_latency(machine, td)
-                                + size_cost
-                                + self.cfg.per_message_processing;
-                            self.schedule(
-                                latency,
-                                Ev::FifoArrive {
-                                    daemon: td,
-                                    delivery: delivery.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_fifo_arrive(&mut self, daemon: DaemonId, delivery: Delivery) {
-        let machine = self.daemons[daemon].machine;
-        let targets: Vec<ClientId> = match delivery.dest {
-            Dest::One(t) => vec![t],
-            Dest::All => self
-                .view_history
-                .get(&delivery.view_id)
-                .map(|v| v.members.clone())
-                .unwrap_or_default(),
-        };
-        for c in targets {
-            if c < self.clients.len() && self.clients[c].machine == machine && self.clients[c].alive
-            {
                 self.schedule(
-                    self.cfg.client_daemon_delay,
-                    Ev::ClientDeliver {
-                        client: c,
-                        delivery: delivery.clone(),
+                    latency,
+                    Ev::FifoArrive {
+                        client: target,
+                        delivery,
                     },
                 );
             }
         }
     }
 
+    fn on_fifo_arrive(&mut self, client: ClientId, delivery: Delivery) {
+        if self.clients[client].alive {
+            self.schedule(
+                self.cfg.client_daemon_delay,
+                Ev::ClientDeliver { client, delivery },
+            );
+        }
+    }
+
     fn install_view_at_daemon(&mut self, daemon: DaemonId, view: &Rc<View>) {
-        self.daemons[daemon].installed_view = view.id;
         let at = self.queue.now();
         let view_id = view.id;
         self.telemetry.record(|| Event {
@@ -2072,13 +1542,12 @@ impl SimWorld {
         });
         // Per-member installation processing at the daemon.
         let install_cost = self.cfg.membership_per_member * view.members.len() as u64;
-        let machine = self.daemons[daemon].machine;
         // Members on this machine receive the view.
         let locals: Vec<ClientId> = view
             .members
             .iter()
             .copied()
-            .filter(|&c| self.clients[c].machine == machine)
+            .filter(|&c| self.clients[c].machine == daemon)
             .collect();
         for c in locals {
             self.clients[c].alive = true;
@@ -2092,7 +1561,7 @@ impl SimWorld {
         }
         // Members that left and live on this machine go silent.
         for &l in &view.left {
-            if self.clients[l].machine == machine {
+            if self.clients[l].machine == daemon {
                 self.clients[l].alive = false;
             }
         }
@@ -2116,83 +1585,10 @@ impl SimWorld {
         }
     }
 
-    fn grow_vclock(&mut self, client: ClientId) {
-        let n = self.clients.len();
-        if self.clients[client].vclock.len() < n {
-            self.clients[client].vclock.resize(n, 0);
-        }
-    }
-
-    /// True if `msg` is the next causal message from its sender and
-    /// every message it causally depends on has been delivered here.
-    fn causally_deliverable(&self, client: ClientId, msg: &CausalMsg) -> bool {
-        let vc = &self.clients[client].vclock;
-        let get = |v: &Vec<u64>, i: usize| v.get(i).copied().unwrap_or(0);
-        for k in 0..msg.vc.len() {
-            if k == msg.sender {
-                continue;
-            }
-            if get(vc, k) < msg.vc[k] {
-                return false; // a causal predecessor is still missing
-            }
-        }
-        // Exactly the next message from this sender.
-        get(vc, msg.sender) + 1 == msg.vc[msg.sender]
-    }
-
-    fn on_causal_arrive(&mut self, client: ClientId, msg: CausalMsg) {
-        if !self.clients[client].alive {
-            return;
-        }
-        self.grow_vclock(client);
-        self.clients[client].causal_buffer.push(msg);
-        // Deliver everything that has become deliverable, repeatedly
-        // (one delivery can unblock others).
-        loop {
-            let idx = {
-                let slot = &self.clients[client];
-                slot.causal_buffer
-                    .iter()
-                    .position(|m| self.causally_deliverable(client, m))
-            };
-            let Some(i) = idx else { break };
-            let msg = self.clients[client].causal_buffer.remove(i);
-            // Merge the clock.
-            self.grow_vclock(client);
-            let slot = &mut self.clients[client];
-            if slot.vclock.len() < msg.vc.len() {
-                slot.vclock.resize(msg.vc.len(), 0);
-            }
-            for k in 0..msg.vc.len() {
-                slot.vclock[k] = slot.vclock[k].max(msg.vc[k]);
-            }
-            let delivery = Delivery {
-                sender: msg.sender,
-                service: Service::Causal,
-                dest: Dest::All,
-                view_id: msg.view_id,
-                payload: msg.payload,
-            };
-            self.deliver_to_client(client, delivery);
-        }
-    }
-
     fn deliver_view_to_client(&mut self, client: ClientId, view: &Rc<View>) {
-        if !self.clients[client].alive {
-            return;
+        if self.clients[client].alive {
+            self.run_handler(client, view.id, |h, ctx| h.on_view(ctx, view));
         }
-        let Some(mut handler) = self.clients[client].handler.take() else {
-            return;
-        };
-        let start = self.queue.now().max(self.clients[client].busy_until);
-        let speed = self
-            .cfg
-            .topology
-            .machine(self.clients[client].machine)
-            .speed;
-        let mut ctx = ClientCtx::new(client, start, view.id, speed);
-        handler.on_view(&mut ctx, view);
-        self.finish_handler(client, handler, start, ctx);
     }
 
     fn deliver_to_client(&mut self, client: ClientId, delivery: Delivery) {
@@ -2208,30 +1604,29 @@ impl SimWorld {
             actor: Actor::Client(client),
             kind: EventKind::Delivered { sender, service },
         });
+        self.run_handler(client, delivery.view_id, |h, ctx| {
+            h.on_message(ctx, &delivery)
+        });
+    }
+
+    /// Runs one handler of `client` in view `view_id`, starting once
+    /// the client's previous handler is done; applies its CPU charge,
+    /// reports the true completion instant back to the client, and
+    /// schedules its sends.
+    fn run_handler(
+        &mut self,
+        client: ClientId,
+        view_id: ViewId,
+        handle: impl FnOnce(&mut dyn Client, &mut ClientCtx<'_>),
+    ) {
         let Some(mut handler) = self.clients[client].handler.take() else {
             return;
         };
-        let start = self.queue.now().max(self.clients[client].busy_until);
-        let speed = self
-            .cfg
-            .topology
-            .machine(self.clients[client].machine)
-            .speed;
-        let mut ctx = ClientCtx::new(client, start, delivery.view_id, speed);
-        handler.on_message(&mut ctx, &delivery);
-        self.finish_handler(client, handler, start, ctx);
-    }
-
-    /// Applies a handler's CPU charge, reports the true completion
-    /// instant back to the client, and schedules its sends.
-    fn finish_handler(
-        &mut self,
-        client: ClientId,
-        mut handler: Box<dyn Client>,
-        start: SimTime,
-        ctx: ClientCtx<'_>,
-    ) {
         let machine = self.clients[client].machine;
+        let start = self.queue.now().max(self.clients[client].busy_until);
+        let speed = self.cfg.topology.machine(machine).speed;
+        let mut ctx = ClientCtx::new(client, start, view_id, speed);
+        handle(handler.as_mut(), &mut ctx);
         let run = self.machines[machine].run_detailed(start, ctx.charged);
         let end = run.end;
         if ctx.charged > Duration::ZERO {
@@ -2265,87 +1660,10 @@ fn first_occurrences(ids: impl Iterator<Item = ClientId>) -> Vec<ClientId> {
     out
 }
 
-/// Serializes a sequenced message into a FEC record. The layout is
-/// fixed little-endian so encoding is a pure, deterministic function
-/// of the message: seq (8) | sender (8) | view_id (8) | origin (8) |
-/// dest tag (1) | dest target (8) | payload_len (8) | payload.
-/// Trailing zero-padding (from the erasure code's common shard
-/// length) is ignored by [`decode_record`] via the embedded
-/// `payload_len`.
-fn encode_record(msg: &WireMsg) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(49 + msg.payload.len());
-    rec.extend_from_slice(&msg.seq.to_le_bytes());
-    rec.extend_from_slice(&(msg.sender as u64).to_le_bytes());
-    rec.extend_from_slice(&msg.view_id.to_le_bytes());
-    rec.extend_from_slice(&(msg.origin as u64).to_le_bytes());
-    let (tag, target) = msg.dest.to_wire();
-    rec.push(tag);
-    rec.extend_from_slice(&target.to_le_bytes());
-    rec.extend_from_slice(&(msg.payload.len() as u64).to_le_bytes());
-    rec.extend_from_slice(&msg.payload);
-    rec
-}
-
-/// Reverses [`encode_record`]. `None` on any malformed or truncated
-/// record (an interpolation fed bad shards) — the caller falls back
-/// to retransmission rather than panicking.
-fn decode_record(rec: &[u8]) -> Option<WireMsg> {
-    let u64_at = |off: usize| -> Option<u64> {
-        rec.get(off..off + 8)?
-            .try_into()
-            .ok()
-            .map(u64::from_le_bytes)
-    };
-    let seq = u64_at(0)?;
-    let sender = u64_at(8)? as ClientId;
-    let view_id = u64_at(16)?;
-    let origin = u64_at(24)? as DaemonId;
-    let tag = *rec.get(32)?;
-    let target = u64_at(33)?;
-    let dest = Dest::from_wire(tag, target)?;
-    let payload_len = u64_at(41)? as usize;
-    let payload = rec.get(49..49 + payload_len)?;
-    Some(WireMsg {
-        seq,
-        sender,
-        dest,
-        view_id,
-        payload: Bytes::copy_from_slice(payload),
-        origin,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testbed;
-
-    #[test]
-    fn record_codec_roundtrip() {
-        for dest in [Dest::All, Dest::One(5)] {
-            let msg = WireMsg {
-                seq: 42,
-                sender: 3,
-                dest,
-                view_id: 7,
-                payload: Bytes::from(vec![9u8, 8, 7, 6, 5]),
-                origin: 11,
-            };
-            let mut rec = encode_record(&msg);
-            // Erasure-coded records carry trailing zero-padding up to
-            // the generation's common shard length; the codec must see
-            // through it.
-            rec.resize(rec.len() + 13, 0);
-            let back = decode_record(&rec).expect("roundtrip");
-            assert_eq!(back.seq, msg.seq);
-            assert_eq!(back.sender, msg.sender);
-            assert_eq!(back.dest, msg.dest);
-            assert_eq!(back.view_id, msg.view_id);
-            assert_eq!(back.payload, msg.payload);
-            assert_eq!(back.origin, msg.origin);
-        }
-        assert!(decode_record(&[1, 2, 3]).is_none(), "truncated record");
-    }
 
     /// Multicasts one Agreed message per view install.
     struct Chatty;
@@ -2400,228 +1718,9 @@ mod tests {
     }
 
     #[test]
-    fn burst_window_is_half_open_and_clears_on_expiry() {
-        let mut cfg = testbed::lan();
-        cfg.loss_rate = 0.0;
-        let mut w = SimWorld::new(cfg);
-        w.set_loss_burst(0.5, Duration::from_millis(10));
-        let until = SimTime::ZERO + Duration::from_millis(10);
-        // One nanosecond before expiry the burst rate applies...
-        let just_before = SimTime::from_nanos(until.as_nanos() - 1);
-        assert_eq!(w.effective_loss_rate_at(just_before), 0.5);
-        assert!(w.loss_burst.is_some(), "burst still active");
-        // ...at the exact expiry instant it no longer does (half-open
-        // window), and the expired burst is cleared.
-        assert_eq!(w.effective_loss_rate_at(until), 0.0);
-        assert!(w.loss_burst.is_none(), "expired burst must be cleared");
-        // Cleared state is stable: later draws stay on the base rate.
-        assert_eq!(
-            w.effective_loss_rate_at(until + Duration::from_millis(1)),
-            0.0
-        );
-    }
-
-    #[test]
-    fn burst_combines_with_base_rate_via_max() {
-        let mut cfg = testbed::lan();
-        cfg.loss_rate = 0.3;
-        let mut w = SimWorld::new(cfg);
-        // A 0.0-rate burst cannot suppress the configured base rate.
-        w.set_loss_burst(0.0, Duration::from_millis(5));
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.3);
-        // A burst above the base rate overrides it while it lasts.
-        w.set_loss_burst(0.9, Duration::from_millis(5));
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.9);
-        assert_eq!(
-            w.effective_loss_rate_at(SimTime::ZERO + Duration::from_millis(5)),
-            0.3
-        );
-    }
-
-    #[test]
-    fn overlapping_bursts_last_writer_wins() {
-        let mut w = SimWorld::new(testbed::lan());
-        w.set_loss_burst(0.8, Duration::from_millis(100));
-        // A shorter, milder burst set while the first is active
-        // replaces it entirely — including cutting the window short.
-        w.set_loss_burst(0.2, Duration::from_millis(1));
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.2);
-        assert_eq!(
-            w.effective_loss_rate_at(SimTime::ZERO + Duration::from_millis(2)),
-            0.0,
-            "the replaced burst's longer window must not survive"
-        );
-    }
-
-    #[test]
-    fn edge_burst_rates_are_accepted() {
-        let mut w = SimWorld::new(testbed::lan());
-        w.set_loss_burst(0.0, Duration::from_millis(1));
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.0);
-        w.set_loss_burst(1.0, Duration::from_millis(1));
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "burst loss rate")]
     fn out_of_range_burst_rate_rejected() {
         let mut w = SimWorld::new(testbed::lan());
         w.set_loss_burst(1.5, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn parity_budget_respects_floor_ceiling_and_field() {
-        let mut cfg = testbed::lan();
-        cfg.fec_parity = 2;
-        cfg.fec_parity_max = 6;
-        cfg.fec_adaptive = true;
-        let mut w = SimWorld::new(cfg);
-        // No losses observed yet: the floor applies.
-        assert_eq!(w.parity_budget(10), 2);
-        // A high loss estimate pushes the budget up to the ceiling.
-        w.loss_ewma.insert(3, 0.9);
-        assert_eq!(w.parity_budget(10), 6);
-        // A moderate estimate lands between floor and ceiling:
-        // ceil(0.2 * 2 * 10) = 4.
-        w.loss_ewma.insert(3, 0.2);
-        assert_eq!(w.parity_budget(10), 4);
-        // The field size always caps the total shard count.
-        assert_eq!(w.parity_budget(255), 1);
-    }
-
-    #[test]
-    fn parity_budget_follows_worst_live_origin_not_the_average() {
-        // Regression: the estimator used to be one global scalar, so a
-        // single lossy link among clean peers diluted the sample 8×
-        // and starved the budget. The worst live origin must govern.
-        let mut cfg = testbed::lan();
-        cfg.fec_parity = 0;
-        cfg.fec_parity_max = 8;
-        cfg.fec_adaptive = true;
-        let mut w = SimWorld::new(cfg);
-        for clean in 0..7 {
-            w.loss_ewma.insert(clean, 0.0);
-        }
-        w.loss_ewma.insert(7, 0.4);
-        // ceil(0.4 * 2 * 10) = 8 — the lossy origin alone sets the
-        // budget; the seven clean estimates must not average it down
-        // (the old global-scalar fold would have seen ~0.05).
-        assert_eq!(w.parity_budget(10), 8);
-        // A dead daemon's estimate is no longer relevant.
-        w.daemons[7].alive = false;
-        assert_eq!(w.parity_budget(10), 0);
-    }
-
-    #[test]
-    fn parity_budget_survives_inverted_clamp_range() {
-        // Regression for the clamp panic: `validate()` now rejects
-        // floor > ceiling, but a hand-mutated config must still not
-        // panic inside the budget math.
-        let mut cfg = testbed::lan();
-        cfg.fec_parity = 2;
-        cfg.fec_parity_max = 6;
-        cfg.fec_adaptive = true;
-        let mut w = SimWorld::new(cfg);
-        w.cfg.fec_parity = 6;
-        w.cfg.fec_parity_max = 2;
-        w.loss_ewma.insert(0, 0.9);
-        // The floor wins over an inverted ceiling; no panic.
-        assert_eq!(w.parity_budget(10), 6);
-    }
-
-    #[test]
-    fn fast_attack_jumps_to_the_sample_within_one_update() {
-        // One token visit inside a burst must push the estimate to the
-        // observed loss fraction — not alpha-blend its way up.
-        let mut cfg = testbed::lan();
-        cfg.fec_adaptive = true;
-        cfg.fec_fast_attack = true;
-        cfg.fec_parity = 0;
-        cfg.fec_parity_max = 16;
-        let mut w = SimWorld::new(cfg);
-        // Daemon 3 has seen nothing of a 10-message span.
-        w.next_seq = 11;
-        w.update_loss_ewma(3);
-        assert_eq!(w.loss_ewma.get(&3).copied(), Some(1.0));
-        // The very next parity budget reflects the burst: one visit,
-        // full reaction (ceil(1.0 * 2 * 5) = 10, inside the ceiling).
-        assert_eq!(w.parity_budget(5), 10);
-        // Decay back down is still gradual (slow-decay EWMA): a clean
-        // visit after recovery blends, it does not snap to zero.
-        w.daemons[3].contiguous = 10;
-        w.update_loss_ewma(3);
-        let decayed = w.loss_ewma.get(&3).copied().unwrap();
-        assert!(
-            (decayed - 0.8).abs() < 1e-12,
-            "slow decay expected, got {decayed}"
-        );
-    }
-
-    #[test]
-    fn without_fast_attack_the_estimate_blends() {
-        let mut cfg = testbed::lan();
-        cfg.fec_adaptive = true;
-        let mut w = SimWorld::new(cfg);
-        w.next_seq = 11;
-        w.update_loss_ewma(3);
-        let e = w.loss_ewma.get(&3).copied().unwrap();
-        assert!(
-            (e - 0.2).abs() < 1e-12,
-            "plain EWMA first sample is alpha * 1.0, got {e}"
-        );
-    }
-
-    #[test]
-    fn gilbert_chain_combines_with_burst_window_via_max() {
-        // Satellite interaction test: a fault-plan `set_loss_burst`
-        // window layered over an active Gilbert–Elliott chain must
-        // max-combine while it lasts and, on expiry, fall back to the
-        // *chain's* rate at that instant — not to the Bernoulli base.
-        let mut cfg = testbed::lan();
-        cfg.loss_rate = 0.0;
-        cfg.gilbert = Some(crate::GilbertElliott {
-            good_loss: 0.05,
-            bad_loss: 0.9,
-            // Dwells far longer than the probe horizon: the chain is
-            // pinned in its good state for the whole test.
-            good_dwell: Duration::from_millis(100_000),
-            bad_dwell: Duration::from_millis(1),
-            seed: 7,
-        });
-        let mut w = SimWorld::new(cfg);
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.05);
-        w.set_loss_burst(0.5, Duration::from_millis(10));
-        // Inside the window the burst dominates the good-state rate.
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.5);
-        // A burst below the chain's rate cannot suppress it.
-        w.set_loss_burst(0.01, Duration::from_millis(10));
-        assert_eq!(w.effective_loss_rate_at(SimTime::ZERO), 0.05);
-        // At expiry the window clears and the chain's rate remains.
-        w.set_loss_burst(0.5, Duration::from_millis(10));
-        let at_expiry = SimTime::ZERO + Duration::from_millis(10);
-        assert_eq!(w.effective_loss_rate_at(at_expiry), 0.05);
-        assert!(w.loss_burst.is_none(), "expired burst must be cleared");
-    }
-
-    #[test]
-    fn byte_granularity_charges_exact_sizes() {
-        let mut cfg = testbed::lan();
-        assert_eq!(cfg.per_kb, Duration::from_micros(15));
-        let w = SimWorld::new(cfg.clone());
-        // Historical default: everything rounds up to a whole KB.
-        assert_eq!(w.wire_cost(40), Duration::from_micros(15));
-        assert_eq!(w.wire_cost(1024), Duration::from_micros(15));
-        assert_eq!(w.wire_cost(1025), Duration::from_micros(30));
-        cfg.wire_granularity = WireGranularity::Byte;
-        let w = SimWorld::new(cfg);
-        // Byte mode: proportional, rounded up to a nanosecond.
-        assert_eq!(
-            w.wire_cost(40),
-            Duration::from_nanos((15_000u64 * 40).div_ceil(1024))
-        );
-        assert_eq!(w.wire_cost(1024), Duration::from_micros(15));
-        assert_eq!(w.wire_cost(0), Duration::ZERO);
-        // 2048 bytes costs exactly two KB worth in both modes.
-        assert_eq!(w.wire_cost(2048), Duration::from_micros(30));
     }
 }

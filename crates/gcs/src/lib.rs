@@ -25,10 +25,11 @@
 //!   token passes — membership is nearly free on a LAN and costs
 //!   hundreds of milliseconds on the WAN, exactly as §6.1.1/§6.2.1
 //!   report.
-//! * **Unicast service**: point-to-point FIFO messages bypass the token
-//!   (CKD's pairwise channels), while *Agreed-ordered* "unicasts"
-//!   (GDH's factor-out tokens) pay full broadcast cost — the effect the
-//!   paper highlights in §6.2.2.
+//! * **Three services**, the ones the paper's protocols send on: Agreed
+//!   multicast; Agreed unicast (GDH's factor-out tokens), which pays
+//!   full broadcast cost — the effect the paper highlights in §6.2.2;
+//!   and FIFO unicast (CKD's pairwise channels), which bypasses the
+//!   token.
 //! * **CPU contention**: clients are distributed over machines with a
 //!   fixed core count ([`gkap_sim::CpuScheduler`]); multiple members
 //!   per dual-processor machine serialize, reproducing BD's cost
@@ -76,6 +77,7 @@ mod fault;
 pub mod fec;
 pub mod loss;
 mod message;
+mod recovery;
 pub mod testbed;
 mod topology;
 

@@ -4,20 +4,20 @@ use bytes::Bytes;
 
 use crate::{ClientId, GroupId};
 
-/// Delivery service class, mirroring Spread's service levels.
+/// Delivery service class, mirroring the Spread service levels the
+/// paper's protocols use. Together with [`Dest`] they give the three
+/// services: Agreed multicast, Agreed unicast (GDH's factor-out,
+/// §6.2.2) and FIFO unicast (CKD's pairwise channel).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Service {
     /// Totally-ordered (Agreed) delivery through the token ring. All
     /// members deliver all Agreed messages in the same order. Expensive
     /// on a WAN (token wait + stability rotation).
     Agreed,
-    /// FIFO point-to-point or multicast delivery that bypasses the
-    /// token: cheap, but unordered relative to Agreed traffic. Used for
-    /// CKD's pairwise channel messages.
+    /// FIFO point-to-point delivery that bypasses the token: cheap, but
+    /// unordered relative to Agreed traffic. Used for CKD's pairwise
+    /// channel messages.
     Fifo,
-    /// Causally-ordered multicast (vector clocks): delivery respects
-    /// happens-before across senders, without paying for total order.
-    Causal,
 }
 
 impl Service {
@@ -26,41 +26,20 @@ impl Service {
         match self {
             Service::Agreed => "agreed",
             Service::Fifo => "fifo",
-            Service::Causal => "causal",
         }
     }
 }
 
-/// Message destination.
+/// Message destination. Only Agreed messages go to [`Dest::All`]; a
+/// FIFO message always names one member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dest {
-    /// Every member of the current view (a multicast).
+    /// Every member of the current view (an Agreed multicast).
     All,
     /// A single member. Note that an Agreed unicast still traverses the
     /// token ring and costs as much as a broadcast (§6.2.2 of the
     /// paper) — only the final delivery is filtered.
     One(ClientId),
-}
-
-impl Dest {
-    /// Stable wire encoding as a `(tag, target)` pair for the FEC
-    /// record codec: `All` ↔ `(0, 0)`, `One(c)` ↔ `(1, c)`.
-    pub(crate) fn to_wire(self) -> (u8, u64) {
-        match self {
-            Dest::All => (0, 0),
-            Dest::One(c) => (1, c as u64),
-        }
-    }
-
-    /// Inverse of [`Dest::to_wire`]; `None` for an unknown tag (a
-    /// corrupt record must fail decode, not panic).
-    pub(crate) fn from_wire(tag: u8, target: u64) -> Option<Dest> {
-        match tag {
-            0 => Some(Dest::All),
-            1 => Some(Dest::One(target as usize)),
-            _ => None,
-        }
-    }
 }
 
 /// A view identifier; increases with every membership change.
@@ -121,15 +100,6 @@ pub struct Delivery {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dest_wire_roundtrip() {
-        for d in [Dest::All, Dest::One(0), Dest::One(42)] {
-            let (tag, target) = d.to_wire();
-            assert_eq!(Dest::from_wire(tag, target), Some(d));
-        }
-        assert_eq!(Dest::from_wire(2, 0), None, "unknown tag fails decode");
-    }
 
     #[test]
     fn view_membership_queries() {

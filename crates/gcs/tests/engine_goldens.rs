@@ -5,8 +5,17 @@
 //! the LAN and WAN testbeds, clean and lossy. The FEC/backoff layers
 //! draw no randomness and schedule no events when disabled, so any
 //! drift here means the new code leaked into the baseline path.
+//!
+//! Two armed-recovery runs pin the other side: fixed parity with
+//! retransmission backoff over Bernoulli loss, and adaptive parity
+//! with fast attack over a Gilbert–Elliott chain at byte wire
+//! granularity. Each pins the clock and every `WorldStats` field.
 
-use gkap_gcs::{testbed, Client, ClientCtx, Delivery, SimWorld, View};
+use gkap_gcs::{
+    testbed, Client, ClientCtx, Delivery, GcsConfig, GilbertElliott, SimWorld, View,
+    WireGranularity,
+};
+use gkap_sim::Duration;
 
 #[derive(Default)]
 struct Chatty {
@@ -26,6 +35,10 @@ fn run_lan(loss: f64, seed: u64, members: usize, per_member: u8) -> SimWorld {
     let mut cfg = testbed::lan();
     cfg.loss_rate = loss;
     cfg.loss_seed = seed;
+    run(cfg, members, per_member)
+}
+
+fn run(cfg: GcsConfig, members: usize, per_member: u8) -> SimWorld {
     let mut world = SimWorld::new(cfg);
     for _ in 0..members {
         world.add_client(Box::new(Chatty {
@@ -103,4 +116,60 @@ fn lossy_runs_are_reproducible() {
     assert_eq!(a.stats().messages_lost, b.stats().messages_lost);
     assert_eq!(a.stats().retransmissions, b.stats().retransmissions);
     assert_eq!(a.stats().recovery_ns(), b.stats().recovery_ns());
+}
+
+/// LAN with the 10 ms / 80 ms retransmission backoff both armed runs
+/// share.
+fn lan_with_backoff(seed: u64) -> GcsConfig {
+    let mut cfg = testbed::lan();
+    cfg.loss_seed = seed;
+    cfg.retrans_backoff = Duration::from_millis(10);
+    cfg.retrans_backoff_max = Duration::from_millis(80);
+    cfg
+}
+
+#[test]
+fn fixed_parity_with_backoff_lan_run_is_pinned() {
+    let mut cfg = lan_with_backoff(7);
+    cfg.loss_rate = 0.2;
+    cfg.fec_parity = 4;
+    let w = run(cfg, 8, 6);
+    assert_eq!(w.now().as_nanos(), 13_910_000);
+    // The Debug rendering pins every `WorldStats` field at once.
+    assert_eq!(
+        format!("{:?}", w.stats()),
+        "WorldStats { agreed_messages: 48, fifo_messages: 0, token_rotations: 20, \
+         views_installed: 1, payload_bytes: 48, messages_lost: 118, retransmissions: 8, \
+         retransmission_rounds: 2, daemon_crashes: 0, ring_reformations: 0, \
+         parity_shards_sent: 384, fec_repairs: 113, fec_repair_recovery_ns: 53450000, \
+         retransmission_recovery_ns: 44680000, parity_bytes_sent: 19200 }"
+    );
+}
+
+#[test]
+fn adaptive_parity_over_gilbert_chain_lan_run_is_pinned() {
+    let mut cfg = lan_with_backoff(7);
+    cfg.loss_rate = 0.0;
+    cfg.gilbert = Some(GilbertElliott {
+        good_loss: 0.0,
+        bad_loss: 0.6,
+        good_dwell: Duration::from_micros(1500),
+        bad_dwell: Duration::from_millis(1),
+        seed: 11,
+    });
+    cfg.wire_granularity = WireGranularity::Byte;
+    cfg.fec_parity = 2;
+    cfg.fec_parity_max = 16;
+    cfg.fec_adaptive = true;
+    cfg.fec_fast_attack = true;
+    let w = run(cfg, 8, 6);
+    assert_eq!(w.now().as_nanos(), 54_560_000);
+    assert_eq!(
+        format!("{:?}", w.stats()),
+        "WorldStats { agreed_messages: 48, fifo_messages: 0, token_rotations: 83, \
+         views_installed: 1, payload_bytes: 48, messages_lost: 197, retransmissions: 87, \
+         retransmission_rounds: 20, daemon_crashes: 0, ring_reformations: 0, \
+         parity_shards_sent: 552, fec_repairs: 126, fec_repair_recovery_ns: 264289408, \
+         retransmission_recovery_ns: 572170660, parity_bytes_sent: 27600 }"
+    );
 }

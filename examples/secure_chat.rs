@@ -1,9 +1,8 @@
 //! A secure group chat over the full stack: TGDH establishes the group
-//! key, application messages travel as causally-ordered multicasts
-//! encrypted by the per-epoch [`SecureSession`], and a [`ReplayGuard`]
-//! rejects duplicated ciphertexts — the complete Secure Spread
-//! experience, including a mid-conversation re-key when a member
-//! leaves.
+//! key, application messages are sealed by the per-epoch
+//! [`SecureSession`], and a [`ReplayGuard`] rejects duplicated
+//! ciphertexts — the complete Secure Spread experience, including a
+//! mid-conversation re-key when a member leaves.
 //!
 //! Run with: `cargo run --release --example secure_chat`
 
