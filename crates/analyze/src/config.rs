@@ -265,6 +265,12 @@ impl Config {
                 },
                 None => None,
             };
+            if let Some(extra) = parts.next() {
+                return Err(format!(
+                    "analyze.allow line {}: unexpected field `{extra}` after `fn=<name>`",
+                    lineno + 1
+                ));
+            }
             self.allows.push(Allow {
                 rule: rule.to_string(),
                 glob: glob.to_string(),
@@ -280,20 +286,6 @@ impl Config {
         self.scopes
             .iter()
             .any(|s| rule.starts_with(s.rule_prefix.as_str()) && glob_match(&s.glob, rel_path))
-    }
-
-    /// Whether a finding of `rule` in `rel_path` is allowlisted,
-    /// ignoring function-scoped entries (kept for callers with no
-    /// function attribution).
-    pub fn allowed(&self, rule: &str, rel_path: &str) -> bool {
-        self.allows
-            .iter()
-            .any(|a| a.func.is_none() && a.matches(rule, rel_path, ""))
-    }
-
-    /// Whether a fully attributed finding is allowlisted.
-    pub fn allowed_finding(&self, rule: &str, rel_path: &str, func: &str) -> bool {
-        self.allows.iter().any(|a| a.matches(rule, rel_path, func))
     }
 
     /// Every path prefix mentioned by any scope — used to prune the
@@ -444,7 +436,22 @@ mod tests {
         assert!(cfg.parse_allowlist("L1-INDEX src/x.rs").is_err());
         cfg.parse_allowlist("L1-INDEX src/x.rs # audited 2026-08-07\n")
             .unwrap();
-        assert!(cfg.allowed("L1-INDEX", "src/x.rs"));
-        assert!(!cfg.allowed("L1-PANIC", "src/x.rs"));
+        assert!(cfg.allows[0].matches("L1-INDEX", "src/x.rs", ""));
+        assert!(!cfg.allows[0].matches("L1-PANIC", "src/x.rs", ""));
+    }
+
+    #[test]
+    fn allowlist_rejects_fields_after_fn() {
+        let mut cfg = Config::default();
+        let err = cfg
+            .parse_allowlist("# header\nL1-INDEX a.rs fn=x typo # r\n")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "analyze.allow line 2: unexpected field `typo` after `fn=<name>`"
+        );
+        assert!(cfg.allows.is_empty());
+        cfg.parse_allowlist("L1-INDEX a.rs fn=x # r\n").unwrap();
+        assert_eq!(cfg.allows[0].func.as_deref(), Some("x"));
     }
 }

@@ -23,22 +23,18 @@
 //!   folds in the `--jobs` execution paths (`rules::check_l6`).
 //!
 //! Diagnostics are rustc-style `file:line:col: error[RULE]: message`.
-//! Each finding carries a stable fingerprint (`fingerprint`), so CI can
-//! gate on *new* findings against a committed `analyze.baseline`. An
-//! incremental per-file cache (`cache`) keyed by content hash keeps
-//! repeat runs fast. See `DESIGN.md` §11/§16.
+//! A finding is accepted only by an `analyze.allow` entry with a
+//! reason; an entry that matches no finding is stale and fails the
+//! run. See `DESIGN.md` §11/§16.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod arith;
-pub mod cache;
 pub mod callgraph;
 pub mod config;
-pub mod fingerprint;
 pub mod lexer;
-pub mod output;
 pub mod parse;
 pub mod rules;
 pub mod taint;
@@ -61,13 +57,11 @@ pub struct Finding {
     pub func: String,
     /// Human-readable explanation.
     pub msg: String,
-    /// Stable identity across unrelated edits; see `fingerprint`.
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// A finding with no function / fingerprint assigned yet (both are
-    /// filled by post-passes).
+    /// A finding with no function assigned yet (filled by a
+    /// post-pass).
     pub fn new(rule: &str, file: &str, line: u32, col: u32, msg: impl Into<String>) -> Self {
         Finding {
             rule: rule.to_string(),
@@ -76,7 +70,6 @@ impl Finding {
             col,
             func: String::new(),
             msg: msg.into(),
-            fingerprint: String::new(),
         }
     }
 }
@@ -94,30 +87,16 @@ impl fmt::Display for Finding {
 /// Directories never descended into during discovery.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modules"];
 
-/// Engine options for [`analyze_report`].
-#[derive(Debug, Default)]
-pub struct EngineOpts {
-    /// Incremental cache file (loaded if present, rewritten after).
-    pub cache_path: Option<PathBuf>,
-    /// Accepted fingerprints: findings in this set are reported under
-    /// `Report::baselined` instead of `Report::findings`.
-    pub baseline: Option<BTreeSet<String>>,
-}
-
 /// The full result of an analyzer run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// New findings: not allowlisted, not in the baseline.
+    /// Findings no allowlist entry accepts.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by the fingerprint baseline.
-    pub baselined: Vec<Finding>,
     /// Allowlist entries (rendered `RULE glob [fn=name]`) that matched
     /// no current finding — stale entries fail the run.
     pub stale_allows: Vec<String>,
     /// Files analyzed.
     pub files: usize,
-    /// Files whose local findings were served from the cache.
-    pub cache_hits: usize,
 }
 
 /// Recursively collects `.rs` files under `root` whose root-relative
@@ -159,17 +138,42 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 
 /// Analyzes every in-scope file under `root` and returns the surviving
 /// findings, sorted by `(file, line, rule)`. Thin wrapper over
-/// [`analyze_report`] with no cache and no baseline.
+/// [`analyze_report`].
 pub fn analyze_root(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
-    let report = analyze_report(root, cfg, &EngineOpts::default())?;
-    Ok(report.findings)
+    Ok(analyze_report(root, cfg)?.findings)
 }
 
 /// Analyzes pre-loaded `(rel_path, contents)` pairs. Split out so the
 /// fixture tests can drive the analyzer without touching the real
-/// filesystem layout. Runs the taint-mode flow engine and the full
-/// post-processing (function attribution, fingerprints, allowlist).
+/// filesystem layout. Runs the local rules, the taint-mode flow engine
+/// and the post-processing (function attribution, allowlist).
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
+    analyze_marking(sources, cfg, &mut vec![false; cfg.allows.len()])
+}
+
+/// The engine: discovery, then [`analyze_sources`], then the allowlist
+/// entries that matched no finding.
+pub fn analyze_report(root: &Path, cfg: &Config) -> Result<Report, String> {
+    let sources = discover_files(root, cfg)?;
+    let mut used = vec![false; cfg.allows.len()];
+    let findings = analyze_marking(&sources, cfg, &mut used);
+    let stale_allows = cfg
+        .allows
+        .iter()
+        .zip(&used)
+        .filter(|(_, &u)| !u)
+        .map(|(a, _)| a.render())
+        .collect();
+    Ok(Report {
+        findings,
+        stale_allows,
+        files: sources.len(),
+    })
+}
+
+/// [`analyze_sources`], recording in `used` which allowlist entries
+/// matched a finding.
+fn analyze_marking(sources: &[(String, String)], cfg: &Config, used: &mut [bool]) -> Vec<Finding> {
     let files: Vec<(String, parse::ParsedFile)> = sources
         .iter()
         .map(|(rel, text)| (rel.clone(), parse::parse(text)))
@@ -182,124 +186,8 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Findin
     taint::check(&files, &graph, cfg, &mut raw);
     let mut all = dedup_sort(raw);
     rules::fill_funcs(&files, &mut all);
-    assign_fingerprints(sources, &mut all);
-    let mut used = vec![false; cfg.allows.len()];
-    all.retain(|f| !mark_allowed(cfg, f, &mut used));
+    all.retain(|f| !mark_allowed(cfg, f, used));
     all
-}
-
-/// The full engine: discovery, incremental cache, local + flow rules,
-/// function attribution, fingerprints, allowlist with stale tracking,
-/// baseline split.
-pub fn analyze_report(root: &Path, cfg: &Config, opts: &EngineOpts) -> Result<Report, String> {
-    let sources = discover_files(root, cfg)?;
-    let cfg_digest = cache::config_digest(cfg);
-    let mut store = match &opts.cache_path {
-        Some(p) => cache::Cache::load(p, cfg_digest),
-        None => cache::Cache::empty(cfg_digest),
-    };
-
-    let hashes: Vec<u64> = sources
-        .iter()
-        .map(|(_, text)| cache::content_hash(text))
-        .collect();
-    let ws_digest = cache::workspace_digest(
-        sources
-            .iter()
-            .map(|(rel, _)| rel.as_str())
-            .zip(hashes.iter().copied()),
-    );
-
-    // Per-file local findings: serve unchanged files from the cache.
-    let mut cache_hits = 0usize;
-    let mut local: Vec<Option<Vec<Finding>>> = Vec::with_capacity(sources.len());
-    for (i, (rel, _)) in sources.iter().enumerate() {
-        match store.lookup_file(rel, hashes[i]) {
-            Some(cached) => {
-                cache_hits += 1;
-                local.push(Some(cached));
-            }
-            None => local.push(None),
-        }
-    }
-    let global_cached = store.lookup_global(ws_digest);
-
-    // Parse what the run needs: everything when the flow fixpoint must
-    // rerun (any content change), otherwise only the local misses.
-    let need_all = global_cached.is_none();
-    let parsed: Vec<Option<parse::ParsedFile>> = sources
-        .iter()
-        .enumerate()
-        .map(|(i, (_, text))| (need_all || local[i].is_none()).then(|| parse::parse(text)))
-        .collect();
-
-    for (i, slot) in local.iter_mut().enumerate() {
-        if slot.is_some() {
-            continue;
-        }
-        let (rel, _) = &sources[i];
-        let pf = parsed[i].as_ref().ok_or("internal: missing parse")?;
-        let mut raw = Vec::new();
-        rules::check_file_local(rel, pf, cfg, &mut raw);
-        let mut batch = dedup_sort(raw);
-        let one = [(rel.clone(), pf.clone())];
-        rules::fill_funcs(&one, &mut batch);
-        assign_fingerprints(&sources[i..=i], &mut batch);
-        store.store_file(rel, hashes[i], &batch);
-        *slot = Some(batch);
-    }
-
-    let global = match global_cached {
-        Some(g) => g,
-        None => {
-            let files: Vec<(String, parse::ParsedFile)> = sources
-                .iter()
-                .zip(&parsed)
-                .filter_map(|((rel, _), pf)| pf.clone().map(|pf| (rel.clone(), pf)))
-                .collect();
-            let graph = callgraph::CallGraph::build(&files);
-            let mut raw = Vec::new();
-            taint::check(&files, &graph, cfg, &mut raw);
-            let mut batch = dedup_sort(raw);
-            rules::fill_funcs(&files, &mut batch);
-            assign_fingerprints(&sources, &mut batch);
-            store.store_global(ws_digest, &batch);
-            batch
-        }
-    };
-
-    if let Some(p) = &opts.cache_path {
-        // Cache write failures are non-fatal: the run is still correct,
-        // just cold next time.
-        let _ = store.save(p);
-    }
-
-    let mut all: Vec<Finding> = local.into_iter().flatten().flatten().collect();
-    all.extend(global);
-    let mut all = dedup_sort(all);
-
-    let mut used = vec![false; cfg.allows.len()];
-    all.retain(|f| !mark_allowed(cfg, f, &mut used));
-    let stale_allows: Vec<String> = cfg
-        .allows
-        .iter()
-        .zip(&used)
-        .filter(|(_, &u)| !u)
-        .map(|(a, _)| a.render())
-        .collect();
-
-    let (baselined, findings) = match &opts.baseline {
-        Some(base) => all.into_iter().partition(|f| base.contains(&f.fingerprint)),
-        None => (Vec::new(), all),
-    };
-
-    Ok(Report {
-        findings,
-        baselined,
-        stale_allows,
-        files: sources.len(),
-        cache_hits,
-    })
 }
 
 /// Dedups per `(rule, file, line)` and sorts by `(file, line, rule)`.
@@ -327,21 +215,6 @@ fn mark_allowed(cfg: &Config, f: &Finding, used: &mut [bool]) -> bool {
         }
     }
     hit
-}
-
-/// Computes fingerprints for `findings`, resolving source lines from
-/// the in-memory `sources`.
-fn assign_fingerprints(sources: &[(String, String)], findings: &mut [Finding]) {
-    let lines: BTreeMap<&str, Vec<&str>> = sources
-        .iter()
-        .map(|(rel, text)| (rel.as_str(), text.lines().collect()))
-        .collect();
-    fingerprint::assign(findings, |file, line| {
-        lines
-            .get(file)
-            .and_then(|ls| ls.get(line.checked_sub(1)? as usize))
-            .copied()
-    });
 }
 
 #[cfg(test)]
@@ -375,7 +248,6 @@ mod tests {
         assert_eq!(findings[0].rule, "L1-PANIC");
         assert_eq!(findings[0].file, "src/driver.rs");
         assert_eq!(findings[0].func, "step");
-        assert!(!findings[0].fingerprint.is_empty());
     }
 
     #[test]

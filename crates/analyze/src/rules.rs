@@ -57,8 +57,7 @@ const NON_INDEX_PREV: &[&str] = &[
     "struct", "enum", "trait", "mod", "unsafe", "while", "loop", "await", "async", "yield", "box",
 ];
 
-/// Every per-file (cacheable) check: L1–L6 minus the interprocedural
-/// flow pass.
+/// Every per-file check: L1–L6 minus the interprocedural flow pass.
 pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec<Finding>) {
     check_l1(path, pf, cfg, out);
     check_l2_structs(path, pf, cfg, out);
@@ -69,8 +68,8 @@ pub fn check_file_local(path: &str, pf: &ParsedFile, cfg: &Config, out: &mut Vec
 }
 
 /// Fills each finding's `func` with the innermost enclosing function,
-/// by line containment. Findings in files not present in `files`
-/// (cache hits) keep whatever they already carry.
+/// by line containment. Findings that already carry a function keep
+/// it.
 pub fn fill_funcs(files: &[(String, ParsedFile)], findings: &mut [Finding]) {
     for f in findings.iter_mut() {
         if !f.func.is_empty() {

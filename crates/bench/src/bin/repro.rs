@@ -18,18 +18,14 @@
 //! Every command additionally writes a versioned **run manifest**
 //! `results/RUN_<cmd>_<tag>.json` — git revision, full configuration,
 //! wall vs virtual time, deterministic op counts and per-phase latency
-//! histograms — and every invocation refreshes
-//! `results/BENCH_perf.json` (now a v1 manifest that keeps the legacy
-//! `jobs`/`reps`/`total_wall_s`/`steps` keys). `bench-diff` compares
-//! two manifests with per-class thresholds and exits non-zero on
-//! regression; `trace --folded` adds collapsed-stack (flamegraph)
-//! output.
+//! histograms. `bench-diff` compares two manifests with per-class
+//! thresholds and exits non-zero on regression; `trace --folded` adds
+//! collapsed-stack (flamegraph) output.
 //!
 //! Failures (an unwritable `results/` directory, a malformed flag, an
 //! unknown protocol) exit non-zero with a one-line diagnostic — never
 //! a panic.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use gkap_bench::{
@@ -653,46 +649,6 @@ fn cmd_bench_diff(opts: &cli::CliOptions, con: &mut Console) -> Result<bool, Str
     Ok(report.passed())
 }
 
-/// One timed step of the invocation, for `results/BENCH_perf.json`.
-struct PerfEntry {
-    name: String,
-    wall_s: f64,
-    serial_equivalent_s: f64,
-}
-
-/// Renders the perf record as a v1 run manifest that keeps the legacy
-/// top-level keys (`jobs`, `reps`, `total_wall_s`, `steps`) so
-/// existing consumers keep parsing it.
-fn perf_manifest(opts: &cli::CliOptions, total_wall_s: f64, steps: &[PerfEntry]) -> Manifest {
-    let mut man = Manifest::new("perf", &opts.cmd);
-    man.set_config("reps", opts.reps);
-    let mut wall = LogHistogram::default();
-    for e in steps {
-        man.add_count(&format!("harness/steps/{}", e.name), 1);
-        wall.record(e.wall_s * 1000.0);
-    }
-    if wall.count() > 0 {
-        man.put_histogram("harness/step_wall_ms", wall.summary());
-    }
-    man.fill_environment(opts.jobs, total_wall_s);
-    let mut steps_json = String::from("[");
-    for (i, e) in steps.iter().enumerate() {
-        let comma = if i + 1 < steps.len() { "," } else { "" };
-        let _ = write!(
-            steps_json,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"serial_equivalent_s\": {:.3}}}{comma}",
-            e.name, e.wall_s, e.serial_equivalent_s
-        );
-    }
-    steps_json.push_str("\n  ]");
-    man.legacy.insert("jobs".into(), opts.jobs.to_string());
-    man.legacy.insert("reps".into(), opts.reps.to_string());
-    man.legacy
-        .insert("total_wall_s".into(), format!("{total_wall_s:.3}"));
-    man.legacy.insert("steps".into(), steps_json);
-    man
-}
-
 /// The sub-steps `all` runs, in order.
 const ALL_STEPS: [&str; 20] = [
     "table1",
@@ -730,15 +686,9 @@ fn manifest_tag(cmd: &str, opts: &cli::CliOptions) -> String {
     }
 }
 
-/// Runs one command, timing it, writing its run manifest, and
-/// recording a perf entry. Returns `Ok(false)` for unknown commands,
+/// Runs one command, timing it and writing its run manifest. Returns `Ok(false)` for unknown commands,
 /// `Err` with a one-line diagnostic on failure.
-fn run_step(
-    cmd: &str,
-    opts: &cli::CliOptions,
-    perf: &mut Vec<PerfEntry>,
-    con: &mut Console,
-) -> Result<bool, String> {
+fn run_step(cmd: &str, opts: &cli::CliOptions, con: &mut Console) -> Result<bool, String> {
     let (reps, jobs) = (opts.reps, opts.jobs);
     gkap_core::par::take_busy_nanos(); // reset the busy-time counter
     let mut man = Manifest::new(cmd, &manifest_tag(cmd, opts));
@@ -789,11 +739,6 @@ fn run_step(
     con.note(format!(
         "[{cmd}: wall {wall_s:.1}s, serial-equivalent {serial_equivalent_s:.1}s]"
     ));
-    perf.push(PerfEntry {
-        name: cmd.to_string(),
-        wall_s,
-        serial_equivalent_s,
-    });
     Ok(true)
 }
 
@@ -822,7 +767,7 @@ fn main() {
     };
     let con = &mut con;
 
-    // bench-diff is a pure comparison — no workload, no perf record.
+    // bench-diff is a pure comparison — no workload, no run manifest.
     if opts.cmd == "bench-diff" {
         match cmd_bench_diff(&opts, con) {
             Ok(true) => return,
@@ -834,19 +779,18 @@ fn main() {
         }
     }
 
-    let mut perf: Vec<PerfEntry> = Vec::new();
     let t0 = std::time::Instant::now();
     let outcome = if opts.cmd == "all" {
         let mut res = Ok(true);
         for cmd in ALL_STEPS {
-            res = run_step(cmd, &opts, &mut perf, con);
+            res = run_step(cmd, &opts, con);
             if res.is_err() {
                 break;
             }
         }
         res
     } else {
-        run_step(&opts.cmd, &opts, &mut perf, con)
+        run_step(&opts.cmd, &opts, con)
     };
     match outcome {
         Ok(true) => {}
@@ -861,19 +805,6 @@ fn main() {
         }
     }
     let total_wall_s = t0.elapsed().as_secs_f64();
-
-    let perf_path = match write_output(
-        &out_dir(),
-        "BENCH_perf.json",
-        &perf_manifest(&opts, total_wall_s, &perf).to_json(),
-    ) {
-        Ok(path) => path,
-        Err(msg) => {
-            eprintln!("repro: {msg}");
-            std::process::exit(1);
-        }
-    };
-    con.note(format!("[written: {}]", perf_path.display()));
     con.note(format!(
         "[repro {} done in {total_wall_s:.1}s with --jobs {}]",
         opts.cmd, opts.jobs

@@ -346,21 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn gkap_jobs_env_is_the_default_and_the_flag_wins() {
-        // One test owns the variable end to end, so the parallel test
-        // runner never sees it set outside this scope.
-        std::env::set_var("GKAP_JOBS", "3");
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.jobs, 3, "GKAP_JOBS sets the default worker count");
-        let o = parse(&args(&["scale", "--jobs", "5"])).unwrap();
-        assert_eq!(o.jobs, 5, "an explicit --jobs beats the environment");
-        std::env::set_var("GKAP_JOBS", "0");
-        let o = parse(&[]).unwrap();
-        assert!(o.jobs >= 1, "a nonsense GKAP_JOBS falls back to hardware");
-        std::env::remove_var("GKAP_JOBS");
-    }
-
-    #[test]
     fn positionals_interleave_with_flags() {
         let o = parse(&args(&["--quiet", "trace", "--jobs", "3", "fig14"])).unwrap();
         assert_eq!(o.cmd, "trace");
